@@ -22,7 +22,58 @@ from .gmem import GlobalMemoryManager
 from .kernel import DSEKernel
 from .messages import DSEMessage
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "slice_stats"]
+
+#: transport counters every snapshot reports (zero for the plain datagram
+#: transport, which keeps no such counters): how hard reliability worked
+_TRANSPORT_KEYS = (
+    "retransmissions",
+    "timeouts",
+    "fast_retransmits",
+    "partial_ack_retransmits",
+    "cwnd_floor_hits",
+    "duplicates_dropped",
+    "out_of_order_buffered",
+    "unreliable_sent",
+)
+
+#: per-kernel global-memory counters every snapshot reports
+_GMEM_KEYS = (
+    "remote_reads",
+    "remote_writes",
+    "local_reads",
+    "local_writes",
+    "combined_reads",
+    "batch_flushes",
+    "batched_runs",
+)
+
+
+def slice_stats(fabric, machines, kernels) -> Dict[str, float]:
+    """The core statistics of one slice of a cluster.
+
+    ``fabric`` is the slice's fabric (the whole bus or switch, or one
+    shard's switch card), ``machines`` and ``kernels`` the slice's own.  A
+    single-loop cluster is one slice; a sharded cluster's snapshot merges
+    one slice per shard (:func:`repro.shard.cluster.merge_partial_stats`),
+    which is exact because every summed value is integer-valued.
+    """
+    out: Dict[str, float] = {}
+    for key in ("frames_sent", "collisions", "bytes_sent"):
+        out[f"net.{key}"] = fabric.stats.counter(key).value
+    out["net.collision_rate"] = fabric.collision_rate()
+    out["msgs_sent"] = sum(m.stats.counter("msgs_sent").value for m in machines)
+    transport_stats = [
+        m.transport.stats
+        for m in machines
+        if getattr(m.transport, "stats", None) is not None
+    ]
+    for key in _TRANSPORT_KEYS:
+        out[f"net.{key}"] = float(sum(st.counter(key).value for st in transport_stats))
+    for key in _GMEM_KEYS:
+        out[f"gm.{key}"] = sum(k.gmem.stats.counter(key).value for k in kernels)
+    out["max_load_average"] = max(m.load_average() for m in machines)
+    return out
 
 
 class Cluster:
@@ -147,10 +198,10 @@ class Cluster:
         self.sim.run_all()
 
     def total_events(self) -> int:
-        return self.sim.events_processed
+        return sum(sim.events_processed for sim in self.sims)
 
     def total_cancelled(self) -> int:
-        return self.sim.events_cancelled
+        return sum(sim.events_cancelled for sim in self.sims)
 
     def master_sim(self) -> Simulator:
         """The event loop that hosts the master driver (kernel 0's)."""
@@ -251,63 +302,9 @@ class Cluster:
             yield from origin.request_shutdown_of(k)
 
     # -- aggregate statistics ---------------------------------------------------
-    def _fabric_snapshot(self, out: Dict[str, float]) -> None:
-        """Fabric counters (the sharded cluster sums its per-shard cards)."""
-        fabric = self.network.fabric
-        out["net.frames_sent"] = fabric.stats.counter("frames_sent").value
-        out["net.collisions"] = fabric.stats.counter("collisions").value
-        out["net.bytes_sent"] = fabric.stats.counter("bytes_sent").value
-        out["net.collision_rate"] = fabric.collision_rate()
-
     def stats_snapshot(self) -> Dict[str, float]:
         """Cluster-wide counters the experiment reports cite."""
-        out: Dict[str, float] = {}
-        self._fabric_snapshot(out)
-        out["msgs_sent"] = sum(
-            m.stats.counter("msgs_sent").value for m in self.machines
-        )
-        # Transport-level health (zero for the plain datagram transport,
-        # which keeps no such counters): how hard reliability had to work.
-        transport_stats = [
-            m.transport.stats
-            for m in self.machines
-            if getattr(m.transport, "stats", None) is not None
-        ]
-        for key in (
-            "retransmissions",
-            "timeouts",
-            "fast_retransmits",
-            "partial_ack_retransmits",
-            "cwnd_floor_hits",
-            "duplicates_dropped",
-            "out_of_order_buffered",
-            "unreliable_sent",
-        ):
-            out[f"net.{key}"] = float(
-                sum(st.counter(key).value for st in transport_stats)
-            )
-        out["gm.remote_reads"] = sum(
-            k.gmem.stats.counter("remote_reads").value for k in self.kernels
-        )
-        out["gm.remote_writes"] = sum(
-            k.gmem.stats.counter("remote_writes").value for k in self.kernels
-        )
-        out["gm.local_reads"] = sum(
-            k.gmem.stats.counter("local_reads").value for k in self.kernels
-        )
-        out["gm.local_writes"] = sum(
-            k.gmem.stats.counter("local_writes").value for k in self.kernels
-        )
-        out["gm.combined_reads"] = sum(
-            k.gmem.stats.counter("combined_reads").value for k in self.kernels
-        )
-        out["gm.batch_flushes"] = sum(
-            k.gmem.stats.counter("batch_flushes").value for k in self.kernels
-        )
-        out["gm.batched_runs"] = sum(
-            k.gmem.stats.counter("batched_runs").value for k in self.kernels
-        )
-        out["max_load_average"] = max(m.load_average() for m in self.machines)
+        out = slice_stats(self.network.fabric, self.machines, self.kernels)
         if self.sanitizer.enabled:
             san = self.sanitizer.stats
             for key in (

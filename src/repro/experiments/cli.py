@@ -86,14 +86,15 @@ result cache (``--no-cache`` bypasses it).
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
-from typing import List
+from typing import Callable, List
 
 from .checks import check_figure
 from .figures import FIGURES
 
-__all__ = ["main"]
+__all__ = ["SUBCOMMANDS", "main", "subcommand"]
 
 #: workload key -> (import path, worker attr, small default args)
 _TRACE_WORKLOADS = {
@@ -113,8 +114,6 @@ def _figure_task(params: dict) -> dict:
 
 def _trace_main(argv: List[str]) -> int:
     """Run one workload traced and export Chrome trace (+ metrics) files."""
-    import importlib
-
     from ..dse.config import ClusterConfig
     from ..dse.runtime import run_parallel
     from ..hardware.platforms import get_platform, platform_names
@@ -218,8 +217,6 @@ def _trace_main(argv: List[str]) -> int:
 
 def _profile_engine_main(argv: List[str]) -> int:
     """Profile the event loop under one workload or engine micro-bench."""
-    import importlib
-
     from ..perf import BENCHES, EngineProfiler
 
     parser = argparse.ArgumentParser(
@@ -338,43 +335,32 @@ def _loss_sweep_main(argv: List[str]) -> int:
     return 0
 
 
+#: subcommand -> (module, entry point), imported only when the subcommand runs
+SUBCOMMANDS = {
+    "trace": (__name__, "_trace_main"),
+    "profile-engine": (__name__, "_profile_engine_main"),
+    "loss-sweep": (__name__, "_loss_sweep_main"),
+    "traffic": ("repro.traffic.cli", "traffic_main"),
+    "scale": ("repro.experiments.scaling", "scale_main"),
+    "sanitize": ("repro.sanitize.cli", "sanitize_main"),
+    "resilience": ("repro.resilience.cli", "resilience_main"),
+    "check": ("repro.check.cli", "check_main"),
+    "replay": ("repro.replay.cli", "replay_main"),
+    "live": ("repro.replay.cli", "live_main"),
+}
+
+
+def subcommand(name: str) -> Callable[[List[str]], int]:
+    """The ``*_main(argv)`` entry point of subcommand ``name``."""
+    module, attr = SUBCOMMANDS[name]
+    return getattr(importlib.import_module(module), attr)
+
+
 def main(argv: List[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "profile-engine":
-        return _profile_engine_main(argv[1:])
-    if argv and argv[0] == "loss-sweep":
-        return _loss_sweep_main(argv[1:])
-    if argv and argv[0] == "traffic":
-        from ..traffic.cli import traffic_main
-
-        return traffic_main(argv[1:])
-    if argv and argv[0] == "scale":
-        from .scaling import scale_main
-
-        return scale_main(argv[1:])
-    if argv and argv[0] == "sanitize":
-        from ..sanitize.cli import sanitize_main
-
-        return sanitize_main(argv[1:])
-    if argv and argv[0] == "resilience":
-        from ..resilience.cli import resilience_main
-
-        return resilience_main(argv[1:])
-    if argv and argv[0] == "check":
-        from ..check.cli import check_main
-
-        return check_main(argv[1:])
-    if argv and argv[0] == "replay":
-        from ..replay.cli import replay_main
-
-        return replay_main(argv[1:])
-    if argv and argv[0] == "live":
-        from ..replay.cli import live_main
-
-        return live_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return subcommand(argv[0])(argv[1:])
     parser = argparse.ArgumentParser(
         prog="dse-experiments",
         description="Regenerate the tables/figures of the DSE/SSI paper (ICPP 1999).",

@@ -24,7 +24,7 @@ The implementation is built for large clusters:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import NetworkError
 from ..sim.core import Event, Simulator
@@ -32,24 +32,28 @@ from ..sim.monitor import StatSet
 from ..util.units import US, bits
 from .frame import BROADCAST, ETH_HEADER_BYTES, ETH_PREAMBLE_BYTES, EthernetFrame
 
-__all__ = ["SwitchedLAN"]
+__all__ = ["PROP_DELAY", "SwitchPorts", "SwitchedLAN"]
+
+#: propagation delay through the switch (fixed: not a FabricConfig knob)
+PROP_DELAY = 3 * US
 
 
-class SwitchedLAN:
-    """A switch with one full-duplex port per station.
+class SwitchPorts:
+    """Per-port timing of a full-duplex switch.
 
-    Exposes the same ``attach``/``send`` interface as ``EthernetBus`` so the
-    fabric is pluggable in cluster construction.
+    The one definition shared by :class:`SwitchedLAN` and the per-shard
+    :class:`repro.shard.fabric.ShardSwitchCard`, so the single-loop and
+    sharded fabrics cannot drift apart on a timing rule.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        rate_bps: float = 10e6,
-        forward_latency: float = 15 * US,
-        prop_delay: float = 3 * US,
-        cut_through: bool = True,
-        name: str = "switch0",
+        rate_bps: float,
+        forward_latency: float,
+        prop_delay: float,
+        cut_through: bool,
+        name: str,
     ):
         if rate_bps <= 0:
             raise NetworkError("link rate must be positive")
@@ -65,8 +69,6 @@ class SwitchedLAN:
         #: per-port next-free times (the whole queueing model)
         self._up_free: Dict[int, float] = {}
         self._down_free: Dict[int, float] = {}
-        #: station -> partition group id; None = fully connected
-        self._partition: Optional[Dict[int, int]] = None
         self.stats = StatSet(name)
 
     def attach(self, station_id: int, deliver: Callable[[EthernetFrame], None]) -> None:
@@ -78,6 +80,59 @@ class SwitchedLAN:
         self._stations[station_id] = deliver
         self._up_free[station_id] = self.sim.now
         self._down_free[station_id] = self.sim.now
+
+    def transmission_time(self, frame: EthernetFrame) -> float:
+        return bits(frame.wire_bytes) / self.rate_bps
+
+    @property
+    def header_time(self) -> float:
+        """Serialisation time of the frame header — the cut-through point."""
+        return bits(ETH_HEADER_BYTES + ETH_PREAMBLE_BYTES) / self.rate_bps
+
+    def _uplink(self, src: int, tx: float) -> Tuple[float, float]:
+        """Queue a frame on ``src``'s uplink; return its (start, done)."""
+        start = max(self.sim.now, self._up_free[src])
+        done = start + tx
+        self._up_free[src] = done
+        return start, done
+
+    def _ready(self, start: float, done: float) -> float:
+        """When the switch may start driving an output port for a frame
+        whose uplink runs from ``start`` to ``done``."""
+        if self.cut_through:
+            return start + self.header_time + self.forward_latency
+        return done + self.forward_latency
+
+    def _downlink(self, target: int, ready: float, tx: float) -> float:
+        """Queue a frame on ``target``'s downlink; return its arrival time."""
+        dn_start = max(ready, self._down_free[target])
+        self._down_free[target] = dn_start + tx
+        return dn_start + tx + self.prop_delay
+
+    def collision_rate(self) -> float:
+        """Switched fabric never collides (interface parity with the bus)."""
+        return 0.0
+
+
+class SwitchedLAN(SwitchPorts):
+    """A switch with one full-duplex port per station.
+
+    Exposes the same ``attach``/``send`` interface as ``EthernetBus`` so the
+    fabric is pluggable in cluster construction.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        rate_bps: float = 10e6,
+        forward_latency: float = 15 * US,
+        prop_delay: float = PROP_DELAY,
+        cut_through: bool = True,
+        name: str = "switch0",
+    ):
+        super().__init__(sim, rate_bps, forward_latency, prop_delay, cut_through, name)
+        #: station -> partition group id; None = fully connected
+        self._partition: Optional[Dict[int, int]] = None
 
     @property
     def station_ids(self) -> List[int]:
@@ -119,14 +174,6 @@ class SwitchedLAN:
             return True
         return self._partition.get(a) == self._partition.get(b)
 
-    def transmission_time(self, frame: EthernetFrame) -> float:
-        return bits(frame.wire_bytes) / self.rate_bps
-
-    @property
-    def header_time(self) -> float:
-        """Serialisation time of the frame header — the cut-through point."""
-        return bits(ETH_HEADER_BYTES + ETH_PREAMBLE_BYTES) / self.rate_bps
-
     def send(self, frame: EthernetFrame) -> Generator[Event, Any, str]:
         """Serialise onto the uplink; forwarding and delivery are computed
         arithmetically and scheduled as one timer per destination."""
@@ -136,18 +183,11 @@ class SwitchedLAN:
             raise NetworkError(f"destination station {frame.dst} is not attached to {self.name}")
         sim = self.sim
         tx = self.transmission_time(frame)
-        now = sim.now
-        start = max(now, self._up_free[frame.src])
-        done = start + tx
-        self._up_free[frame.src] = done
-        yield sim.timeout(done - now)
+        start, done = self._uplink(frame.src, tx)
+        yield sim.timeout(done - sim.now)
         self.stats.counter("frames_sent").increment()
         self.stats.counter("bytes_sent").increment(frame.wire_bytes)
-        # When can the switch begin driving an output port?
-        if self.cut_through:
-            ready = start + self.header_time + self.forward_latency
-        else:
-            ready = done + self.forward_latency
+        ready = self._ready(start, done)
         targets = (
             [sid for sid in self._stations if sid != frame.src]
             if frame.dst == BROADCAST
@@ -160,9 +200,7 @@ class SwitchedLAN:
                 # after a heal.
                 self.stats.counter("partition_drops").increment()
                 continue
-            dn_start = max(ready, self._down_free[target])
-            self._down_free[target] = dn_start + tx
-            timer = sim.timeout(dn_start + tx + self.prop_delay - sim.now)
+            timer = sim.timeout(self._downlink(target, ready, tx) - sim.now)
             timer.callbacks.append(lambda _ev, t=target: self._deliver(frame, t))
         return "ok"
 
@@ -173,7 +211,3 @@ class SwitchedLAN:
             return
         self.stats.counter("frames_delivered").increment()
         self._stations[target](frame)
-
-    def collision_rate(self) -> float:
-        """Switched fabric never collides (interface parity with the bus)."""
-        return 0.0

@@ -7,17 +7,20 @@ for every N — see ``docs/sharding.md``.
 
 * :mod:`~repro.shard.plan` — the topology-aware partitioner
 * :mod:`~repro.shard.fabric` — per-shard switch cards + handoff records
-* :mod:`~repro.shard.engine` — the lookahead-windowed drive loop
+* :mod:`~repro.shard.engine` — the one lookahead-windowed driver and the
+  in-process shard endpoint
 * :mod:`~repro.shard.cluster` — the :class:`ShardedCluster` wiring
-* :mod:`~repro.shard.procpool` — one OS worker process per shard
+* :mod:`~repro.shard.procpool` — one OS worker process per shard, behind
+  a pipe endpoint
 """
 
 from .cluster import ShardedCluster, merge_partial_stats, plan_for_config
-from .engine import ShardEngine
+from .engine import LocalShard, ShardEngine
 from .fabric import ShardNetwork, ShardSwitchCard, build_shard_network, min_frame_time
 from .plan import ShardPlan, plan_shards, weights_from_stats
 
 __all__ = [
+    "LocalShard",
     "ShardedCluster",
     "ShardEngine",
     "ShardNetwork",

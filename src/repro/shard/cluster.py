@@ -14,21 +14,21 @@ carries an explicit ``shard_map`` — the hook for profile-guided maps built
 with :func:`repro.shard.plan.weights_from_stats` from a pilot run's
 per-machine event counts.
 
-``stats_snapshot`` keeps the exact key set of the single-loop cluster:
-counters disabled under sharding (collisions on a switched fabric,
-sanitizer/resilience/replay sections, which config validation forbids)
-report the same values a single-loop switched run would.  The per-shard
-slices (:meth:`partial_stats`) exist for the process backend, whose
-workers each hold one shard's live counters; :func:`merge_partial_stats`
-recombines them into the identical snapshot — integer-valued counters sum
-exactly in floats, and the two rate/max keys merge by ``max``.
+``stats_snapshot`` keeps the exact key set of the single-loop cluster
+(the sanitizer/resilience/replay sections are absent because config
+validation forbids those layers under sharding).  It is the merge of one
+:func:`repro.dse.cluster.slice_stats` slice per shard
+(:meth:`partial_stats`), the same slices the process backend's workers
+report from their own shard's live counters; :func:`merge_partial_stats`
+recombines them — integer-valued counters sum exactly in floats, and the
+two rate/max keys merge by ``max``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from ..dse.cluster import Cluster
+from ..dse.cluster import Cluster, slice_stats
 from ..sim.core import Simulator
 from .engine import ShardEngine
 from .fabric import build_shard_network
@@ -77,91 +77,29 @@ class ShardedCluster(Cluster):
         )
 
     def _post_build(self) -> None:
-        self.engine = ShardEngine(self)
+        self.engine = ShardEngine.in_process(self.network.cards)
 
     # -- execution -----------------------------------------------------------
     def run_all(self) -> None:
         self.engine.run_all()
 
-    def total_events(self) -> int:
-        return self.engine.total_events()
-
-    def total_cancelled(self) -> int:
-        return self.engine.total_cancelled()
-
     # -- statistics ----------------------------------------------------------
-    def _fabric_snapshot(self, out: Dict[str, float]) -> None:
-        cards = self.network.cards
-        for key in ("frames_sent", "collisions", "bytes_sent"):
-            out[f"net.{key}"] = sum(
-                card.stats.counter(key).value for card in cards
-            )
-        out["net.collision_rate"] = 0.0  # switched fabric: never collides
-
-    # -- per-shard slices (process backend) -----------------------------------
-    def machines_of_shard(self, shard: int) -> List[int]:
-        return self.plan.machines_of(shard)
-
-    def kernels_of_shard(self, shard: int) -> List[int]:
-        machine_shard = self.plan.machine_shard
-        config = self.config
-        return [
-            k
-            for k in range(config.n_processors)
-            if machine_shard[config.machine_of(k)] == shard
-        ]
-
     def partial_stats(self, shard: int) -> Dict[str, float]:
-        """This shard's additive slice of :meth:`stats_snapshot`.
-
-        Summing the slices over all shards (``merge_partial_stats``)
-        reproduces the full snapshot exactly: every summed counter is
-        integer-valued, so float addition is associative here.
-        """
-        out: Dict[str, float] = {}
-        card = self.network.cards[shard]
-        for key in ("frames_sent", "collisions", "bytes_sent"):
-            out[f"net.{key}"] = card.stats.counter(key).value
-        out["net.collision_rate"] = 0.0
-        machines = [self.machines[m] for m in self.machines_of_shard(shard)]
-        kernels = [self.kernels[k] for k in self.kernels_of_shard(shard)]
-        out["msgs_sent"] = sum(
-            m.stats.counter("msgs_sent").value for m in machines
-        )
-        transport_stats = [
-            m.transport.stats
-            for m in machines
-            if getattr(m.transport, "stats", None) is not None
+        """This shard's additive slice of :meth:`stats_snapshot`."""
+        config = self.config
+        machine_shard = self.plan.machine_shard
+        machines = [self.machines[m] for m in self.plan.machines_of(shard)]
+        kernels = [
+            kernel
+            for kernel in self.kernels
+            if machine_shard[config.machine_of(kernel.kernel_id)] == shard
         ]
-        for key in (
-            "retransmissions",
-            "timeouts",
-            "fast_retransmits",
-            "partial_ack_retransmits",
-            "cwnd_floor_hits",
-            "duplicates_dropped",
-            "out_of_order_buffered",
-            "unreliable_sent",
-        ):
-            out[f"net.{key}"] = float(
-                sum(st.counter(key).value for st in transport_stats)
-            )
-        for key in (
-            "remote_reads",
-            "remote_writes",
-            "local_reads",
-            "local_writes",
-            "combined_reads",
-            "batch_flushes",
-            "batched_runs",
-        ):
-            out[f"gm.{key}"] = sum(
-                k.gmem.stats.counter(key).value for k in kernels
-            )
-        out["max_load_average"] = max(
-            (m.load_average() for m in machines), default=0.0
+        return slice_stats(self.network.cards[shard], machines, kernels)
+
+    def stats_snapshot(self) -> Dict[str, float]:
+        return merge_partial_stats(
+            self.partial_stats(shard) for shard in range(self.plan.n_shards)
         )
-        return out
 
 
 def merge_partial_stats(partials: Iterable[Dict[str, float]]) -> Dict[str, float]:
@@ -170,7 +108,7 @@ def merge_partial_stats(partials: Iterable[Dict[str, float]]) -> Dict[str, float
     for partial in partials:
         for key, value in partial.items():
             if key in _MAX_KEYS:
-                out[key] = max(out.get(key, 0.0), value)
+                out[key] = max(out[key], value) if key in out else value
             else:
                 # ``0 + value`` keeps each key's type (int counters stay
                 # int, float-wrapped transport sums stay float) so merged

@@ -3,53 +3,103 @@
 Classic conservative parallel DES, specialised to the switched fabric's
 constant lookahead ``L`` (one minimum-frame serialisation time):
 
-1. **Route**: move every card's emitted records to the destination card's
-   inbox (deterministic shard-major order).
-2. **Admit**: each card arms its routed records' flush events in canonical
-   sorted order (see :mod:`repro.shard.fabric`).
-3. **Window**: ``W`` = the earliest pending event across all shards; every
-   shard then processes events strictly before the horizon ``H = W + L``.
-   No shard can receive a cross-shard effect earlier than ``H`` for frames
-   emitted in this window, so nothing is ever delivered into a shard's
-   past — the barrier replaces per-pair null messages (with one global
-   reduction per window instead of O(shards²) nulls).
-4. Repeat until every heap is empty and no records are in flight.
+1. **Route**: move every shard's emitted records to the destination
+   shard's pending list (deterministic shard-major order).
+2. **Window**: ``W`` = the earliest of every shard's next event and every
+   pending record's effect time; every shard then admits its records
+   (arming their flush events in canonical sorted order, see
+   :mod:`repro.shard.fabric`) and processes events strictly before the
+   horizon ``H = W + L``.  No shard can receive a cross-shard effect
+   earlier than ``H`` for frames emitted in this window, so nothing is
+   ever delivered into a shard's past — the barrier replaces per-pair null
+   messages (with one global reduction per window instead of O(shards²)
+   nulls).
+3. Repeat until every heap is empty and no records are in flight, then
+   align every shard's clock to the globally last event time.
 
-**Analytic idle fast-forward** falls out of step 3: when the cluster goes
+``W`` is computed *before* admission, from the records themselves, and is
+exactly the minimum over the admitted heaps: a card arms each flush at the
+record's absolute effect time (:meth:`~repro.sim.core.Simulator.timeout_at`),
+so admission adds heap entries at precisely those times and no others.
+
+**Analytic idle fast-forward** falls out of step 2: when the cluster goes
 quiescent (a long computation phase, a drained network), ``W`` jumps
 straight to the next event — the engine advances the global clock in one
 step over any dead span instead of ticking lookahead-sized windows through
-it.  The jump is exact by construction (there is provably nothing to
-execute in the span: every heap and every in-flight record is beyond it),
-and the invariant is cheap to check, so :meth:`ShardEngine.run_all`
-verifies on entry and exit of every jump that no shard holds an event
-inside the skipped span.  The ``ff_jumps`` / ``ff_time_skipped`` counters
-report how much simulated time was crossed this way.
+it.  The jump is exact by construction: ``W`` is the global minimum over
+every heap and every in-flight record, so nothing can exist in the
+skipped span ``(previous horizon, W)``.  The ``ff_jumps`` /
+``ff_time_skipped`` counters report how much simulated time was crossed
+this way.
 
-The same primitives (:meth:`route`, per-shard admit + ``run_window``) are
-driven remotely by the multiprocess backend (:mod:`repro.shard.procpool`);
-this class is the in-process driver, used both directly
-(``shard_workers="inline"``) and inside every worker process.
+:class:`ShardEngine` is the only window driver.  It talks to each shard
+through an *endpoint* with two requests, ``window(horizon, records)`` and
+``finalize(end)``, each answered by ``wait()``.  :class:`LocalShard` is the
+in-process endpoint (``shard_workers="inline"``); the process backend
+(:mod:`repro.shard.procpool`) proxies the same requests over a pipe to a
+worker that serves them with its own :class:`LocalShard`.  Every request
+is issued to all shards before any reply is awaited, so proxied shards
+run their windows concurrently.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..errors import DSEError
-from .fabric import ShardSwitchCard
+from .fabric import Handoff, ShardSwitchCard
 
-__all__ = ["ShardEngine"]
+__all__ = ["LocalShard", "ShardEngine"]
+
+_INF = float("inf")
+
+#: one shard's reply to a window: (emitted records, next-event time, clock)
+WindowReply = Tuple[List[Handoff], float, float]
+
+
+class LocalShard:
+    """In-process endpoint: one shard's simulator behind its switch card.
+
+    Requests run to completion on the spot, so ``wait()`` simply reports
+    the shard's current state — which also makes the driver's first
+    ``wait()``, before any request, read each shard's starting state.
+    """
+
+    def __init__(self, card: ShardSwitchCard) -> None:
+        self.card = card
+        self.sim = card.sim
+
+    def window(self, horizon: float, records: List[Handoff]) -> None:
+        """Admit routed records, then run every event before ``horizon``."""
+        if records:
+            self.card.inbox.extend(records)
+            self.card.admit_pending()
+        self.sim.run_window(horizon)
+
+    def finalize(self, end: float) -> None:
+        """Advance the clock to the run's last event time ``end``."""
+        if self.sim.now < end:
+            self.sim.advance_to(end)
+
+    def wait(self) -> WindowReply:
+        """Drain the outbox and report ``(records, next event, clock)``."""
+        card = self.card
+        out, card.outbox = card.outbox, []
+        return out, self.sim.peek(), self.sim.now
 
 
 class ShardEngine:
-    """Drives a :class:`~repro.shard.cluster.ShardedCluster` to completion."""
+    """Drives a set of shard endpoints to completion."""
 
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-        self.sims = cluster.sims
-        self.cards: List[ShardSwitchCard] = cluster.network.cards
-        self.lookahead = self.cards[0].lookahead
+    def __init__(
+        self,
+        endpoints: Sequence[Any],
+        station_shard: Sequence[int],
+        lookahead: float,
+    ) -> None:
+        self.endpoints = list(endpoints)
+        self.station_shard = station_shard
+        self.lookahead = lookahead
         #: wall-side diagnostics (N-invariant by construction, but kept out
         #: of simulated statistics all the same)
         self.stats: Dict[str, float] = {
@@ -60,77 +110,63 @@ class ShardEngine:
             "ff_time_skipped": 0.0,
         }
 
-    # -- primitives (shared with the process backend) ----------------------
-    def route(self) -> int:
-        """Move emitted records to their destination cards; return count."""
-        cards = self.cards
-        moved = 0
-        for card in cards:
-            out = card.outbox
-            if not out:
-                continue
-            card.outbox = []
-            moved += len(out)
-            for record in out:
-                dest = card.station_shard[record[4]]
-                if dest != card.shard:
-                    self.stats["crossings"] += 1
-                cards[dest].inbox.append(record)
-        self.stats["handoffs"] += moved
-        return moved
+    @classmethod
+    def in_process(cls, cards: Sequence[ShardSwitchCard]) -> "ShardEngine":
+        """The inline engine: one :class:`LocalShard` per card."""
+        return cls(
+            [LocalShard(card) for card in cards],
+            cards[0].station_shard,
+            cards[0].lookahead,
+        )
 
-    def admit_all(self) -> None:
-        for card in self.cards:
-            card.admit_pending()
-
-    def peek_min(self) -> float:
-        return min(sim.peek() for sim in self.sims)
-
-    # -- the drive loop ----------------------------------------------------
-    def run_all(self, max_windows: int = 100_000_000) -> None:
-        """Window-synchronised drain of every shard's event loop."""
-        sims = self.sims
+    def run_all(self, max_windows: int = 100_000_000) -> List[Any]:
+        """Window-synchronised drain of every shard; returns each
+        endpoint's reply to ``finalize``."""
+        endpoints = self.endpoints
+        station_shard = self.station_shard
         stats = self.stats
         lookahead = self.lookahead
+        pending: List[List[Handoff]] = [[] for _ in endpoints]
+        replies = [ep.wait() for ep in endpoints]
         last_horizon = None
         for _ in range(max_windows):
-            self.route()
-            self.admit_all()
-            window_start = self.peek_min()
-            if window_start == float("inf"):
-                self._finalize()
-                return
+            window_start = _INF
+            for shard, (out, peek, _now) in enumerate(replies):
+                if peek < window_start:
+                    window_start = peek
+                for record in out:
+                    dest = station_shard[record[4]]
+                    if dest != shard:
+                        stats["crossings"] += 1
+                    pending[dest].append(record)
+                stats["handoffs"] += len(out)
+            for records in pending:
+                for record in records:
+                    if record[0] < window_start:
+                        window_start = record[0]
+            if window_start == _INF:
+                return self._finalize(max(reply[2] for reply in replies))
             if last_horizon is not None and window_start > last_horizon:
-                # Quiescent span: every shard's next event (flush events for
-                # in-flight records included — admit already armed them) is
-                # at window_start or later, so nothing can exist in
-                # (last_horizon, window_start).  Jump it in one step.
                 stats["ff_jumps"] += 1
                 stats["ff_time_skipped"] += window_start - last_horizon
             horizon = window_start + lookahead
             stats["windows"] += 1
-            for sim in sims:
-                sim.run_window(horizon)
+            for ep, records in zip(endpoints, pending):
+                ep.window(horizon, records)
+            pending = [[] for _ in endpoints]
+            replies = [ep.wait() for ep in endpoints]
             last_horizon = horizon
         raise DSEError(
             f"sharded run exceeded {max_windows} windows (runaway guard)"
         )
 
-    def _finalize(self) -> None:
+    def _finalize(self, end: float) -> List[Any]:
         """Align every shard's clock to the globally last event time.
 
         Time-weighted monitors (run-queue load averages) read the clock at
         snapshot time; without alignment each shard would stop at its own
         last event and per-shard statistics would depend on the shard map.
         """
-        end = max(sim.now for sim in self.sims)
-        for sim in self.sims:
-            if sim.now < end:
-                sim.advance_to(end)
-
-    # -- totals ------------------------------------------------------------
-    def total_events(self) -> int:
-        return sum(sim.events_processed for sim in self.sims)
-
-    def total_cancelled(self) -> int:
-        return sum(sim.events_cancelled for sim in self.sims)
+        for ep in self.endpoints:
+            ep.finalize(end)
+        return [ep.wait() for ep in self.endpoints]

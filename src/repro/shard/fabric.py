@@ -4,9 +4,10 @@
 :class:`~repro.network.switch.SwitchedLAN`: uplink port state lives with
 the *sending* station's shard, downlink port state with the *receiving*
 station's shard, and the two sides meet through explicit handoff records
-instead of a shared heap.  The timing model is the switch's, unchanged —
-per-port free-time floats, optional cut-through — so a sharded run is the
-same simulation cut along port boundaries.
+instead of a shared heap.  The timing model is the switch's own
+(:class:`~repro.network.switch.SwitchPorts`: per-port free-time floats,
+optional cut-through), so a sharded run is the same simulation cut along
+port boundaries.
 
 Three design points carry the whole correctness argument (see
 ``docs/sharding.md`` for the derivations):
@@ -40,7 +41,10 @@ engine routes outboxes at the window boundary, and :meth:`admit_pending`
 arms flush events in one canonical sorted order.  The lookahead guarantee
 makes the deferral safe: an effect time always lies at or beyond the
 horizon of its emission window, so no record can be needed before the next
-boundary.
+boundary.  Each flush is armed at the record's absolute effect time
+(:meth:`~repro.sim.core.Simulator.timeout_at`), never relative to the
+arming card's clock, so the engine can compute the next window start from
+the records alone, before they are admitted.
 
 **No shared mutable state.**  A handoff record is a plain picklable tuple
 ``(effect_time, src_station, src_seq, ready, target, frame)``; the engine
@@ -62,9 +66,9 @@ from ..network.frame import (
     EthernetFrame,
 )
 from ..network.nic import NIC
+from ..network.switch import PROP_DELAY, SwitchPorts
 from ..network.topology import FabricConfig
 from ..sim.core import Event, Simulator
-from ..sim.monitor import StatSet
 from ..util.units import bits
 from .plan import ShardPlan
 
@@ -74,10 +78,6 @@ __all__ = ["Handoff", "ShardSwitchCard", "ShardNetwork", "build_shard_network"]
 #: target, frame) — effect_time is the sender's uplink-done instant, ready
 #: is when the switch may start driving the output port
 Handoff = Tuple[float, int, int, float, int, EthernetFrame]
-
-#: switch propagation delay, matching SwitchedLAN's default (it is not a
-#: FabricConfig knob there either)
-_PROP_DELAY = 3e-6
 
 
 def min_frame_time(rate_bps: float) -> float:
@@ -90,7 +90,7 @@ def min_frame_time(rate_bps: float) -> float:
     return bits(ETH_MIN_PAYLOAD + ETH_HEADER_BYTES + ETH_PREAMBLE_BYTES) / rate_bps
 
 
-class ShardSwitchCard:
+class ShardSwitchCard(SwitchPorts):
     """One shard's ports of the switched LAN (attach/send-compatible)."""
 
     def __init__(
@@ -103,19 +103,18 @@ class ShardSwitchCard:
     ):
         if config.kind != "switch":
             raise NetworkError("sharded fabric requires the switched LAN")
-        self.sim = sim
+        super().__init__(
+            sim,
+            config.rate_bps,
+            config.forward_latency,
+            PROP_DELAY,
+            config.cut_through,
+            name,
+        )
         self.shard = shard
         #: global station -> shard map (every card knows the whole topology)
         self.station_shard = station_shard
-        self.rate_bps = config.rate_bps
-        self.forward_latency = config.forward_latency
-        self.prop_delay = _PROP_DELAY
-        self.cut_through = config.cut_through
-        self.name = name
         self.lookahead = min_frame_time(config.rate_bps)
-        self._stations: Dict[int, Callable[[EthernetFrame], None]] = {}
-        self._up_free: Dict[int, float] = {}
-        self._down_free: Dict[int, float] = {}
         #: monotone per-card sequence over local sends; per-station order is
         #: preserved under any partition, which is all the canonical sort needs
         self._send_seq = 0
@@ -127,12 +126,9 @@ class ShardSwitchCard:
         self.inbox: List[Handoff] = []
         #: pending downlink touches: (target, effect_time) -> records
         self._touch_buf: Dict[Tuple[int, float], List[Handoff]] = {}
-        self.stats = StatSet(name)
 
     # -- fabric interface (NIC-facing) ------------------------------------
     def attach(self, station_id: int, deliver: Callable[[EthernetFrame], None]) -> None:
-        if station_id in self._stations:
-            raise NetworkError(f"station {station_id} already attached to {self.name}")
         if not (0 <= station_id < len(self.station_shard)):
             raise NetworkError(f"station {station_id} is outside the cluster")
         if self.station_shard[station_id] != self.shard:
@@ -140,21 +136,7 @@ class ShardSwitchCard:
                 f"station {station_id} belongs to shard "
                 f"{self.station_shard[station_id]}, not {self.shard}"
             )
-        self._stations[station_id] = deliver
-        self._up_free[station_id] = self.sim.now
-        self._down_free[station_id] = self.sim.now
-
-    def transmission_time(self, frame: EthernetFrame) -> float:
-        return bits(frame.wire_bytes) / self.rate_bps
-
-    @property
-    def header_time(self) -> float:
-        return bits(ETH_HEADER_BYTES + ETH_PREAMBLE_BYTES) / self.rate_bps
-
-    def collision_rate(self) -> float:
-        """Interface parity with the bus/switch fabrics — switches never
-        collide."""
-        return 0.0
+        super().attach(station_id, deliver)
 
     def send(self, frame: EthernetFrame) -> Generator[Event, Any, str]:
         """Serialise onto the local uplink; emit downlink touches for every
@@ -171,16 +153,11 @@ class ShardSwitchCard:
         sim = self.sim
         tx = self.transmission_time(frame)
         now = sim.now
-        start = max(now, self._up_free[frame.src])
-        done = start + tx
-        self._up_free[frame.src] = done
+        start, done = self._uplink(frame.src, tx)
         # Everything about this frame's forwarding is decided *now*: emit
         # the touch records immediately so remote shards learn about the
         # frame a full transmission time before it takes effect (lookahead).
-        if self.cut_through:
-            ready = start + self.header_time + self.forward_latency
-        else:
-            ready = done + self.forward_latency
+        ready = self._ready(start, done)
         self._send_seq += 1
         seq = self._send_seq
         targets = (
@@ -221,7 +198,7 @@ class ShardSwitchCard:
             self._touch_buf[key] = [record]
             # One flush event per (target, effect-time) pair at any shard
             # count — this is what keeps events_processed N-invariant.
-            timer = self.sim.timeout(record[0] - self.sim.now, value=key)
+            timer = self.sim.timeout_at(record[0], value=key)
             timer.callbacks.append(self._flush)
         else:
             buf.append(record)
@@ -235,12 +212,9 @@ class ShardSwitchCard:
             records.sort(key=lambda r: (r[1], r[2]))
         sim = self.sim
         now = sim.now
-        down_free = self._down_free
-        for done, _src, _seq, ready, target, frame in records:
-            dn_start = max(ready, down_free[target])
-            tx = self.transmission_time(frame)
-            down_free[target] = dn_start + tx
-            timer = sim.timeout(dn_start + tx + self.prop_delay - now)
+        for _done, _src, _seq, ready, target, frame in records:
+            arrival = self._downlink(target, ready, self.transmission_time(frame))
+            timer = sim.timeout(arrival - now)
             timer.callbacks.append(
                 lambda _ev, f=frame, t=target: self._deliver(f, t)
             )

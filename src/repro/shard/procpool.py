@@ -2,18 +2,20 @@
 
 Each worker deterministically rebuilds the *whole* cluster from the config
 (cheap relative to running it, and it makes every worker's world view
-identical by construction), then drives only its own shard's simulator.
-The parent never simulates anything: it mirrors the inline engine's window
-schedule over pipes —
+identical by construction), then serves window requests for its own shard
+with that cluster's in-process endpoint
+(:class:`repro.shard.engine.LocalShard`).  The parent simulates nothing:
+it runs the one window driver, :class:`repro.shard.engine.ShardEngine`,
+over :class:`PipeShard` proxies —
 
     round:   workers report (outbox records, next-event time, clock)
-    parent:  routes records by destination shard, computes the window
-             start ``W`` = min(worker peeks ∪ pending record effect
-             times) — exactly the inline engine's post-admit minimum,
-             because admission only inserts events at record effect times
-    parent:  broadcasts ("window", W + lookahead, records-for-you)
-    worker:  admits records in canonical order, runs its loop to the
-             horizon, replies
+    parent:  the driver routes records, takes the window start ``W``
+             from the reported next-event times and the routed records'
+             effect times — exact without the records being admitted yet,
+             because a card arms each flush at its record's absolute
+             effect time — and sends each worker
+             ("window", W + lookahead, records)
+    worker:  admits the records, runs its loop to the horizon, replies
 
 — so a worker executes the byte-identical per-window event schedule the
 inline backend would, and ``shard_workers`` flips parallelism on and off
@@ -32,16 +34,15 @@ from __future__ import annotations
 import multiprocessing
 import traceback
 from dataclasses import replace
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from ..dse.config import ClusterConfig
 from ..errors import DSEError
 from .cluster import merge_partial_stats, plan_for_config
+from .engine import ShardEngine
 from .fabric import min_frame_time
 
-__all__ = ["run_parallel_process"]
-
-_INF = float("inf")
+__all__ = ["PipeShard", "run_parallel_process"]
 
 
 def _shard_worker(
@@ -52,56 +53,80 @@ def _shard_worker(
     args: tuple,
     args_of: Optional[Callable[[int], tuple]],
 ) -> None:
-    """Worker-process main: rebuild, then follow the parent's windows."""
+    """Worker-process main: rebuild, then serve the driver's requests.
+
+    Every request is answered with ``("ok", reply)``: the endpoint's own
+    reply after a window, and after finalize this shard's statistics
+    slice, event count and (on kernel 0's shard) the run outcome.
+    """
     try:
         from ..dse.runtime import launch_parallel
 
         launched = launch_parallel(config, worker, args, args_of)
         cluster = launched.cluster
-        sim = cluster.sims[shard]
-        card = cluster.network.cards[shard]
-        conn.send(("ready", sim.peek(), sim.now))
+        endpoint = cluster.engine.endpoints[shard]
+        conn.send(("ok", endpoint.wait()))
         while True:
-            msg = conn.recv()
-            op = msg[0]
+            op, *params = conn.recv()
             if op == "window":
-                _op, horizon, records = msg
-                if records:
-                    card.inbox.extend(records)
-                    card.admit_pending()
-                sim.run_window(horizon)
-                out = card.outbox
-                card.outbox = []
-                conn.send(("done", out, sim.peek(), sim.now))
-            elif op == "finalize":
-                _op, end_time = msg
-                if sim.now < end_time:
-                    sim.advance_to(end_time)
-                outcome = None
-                if shard == cluster.plan.machine_shard[config.machine_of(0)]:
-                    outcome = launched._outcome
-                    if "returns" not in outcome:
-                        raise DSEError(
-                            "master did not complete (deadlock or early drain)"
-                        )
-                conn.send(
-                    (
-                        "final",
-                        cluster.partial_stats(shard),
-                        sim.events_processed,
-                        outcome,
-                    )
-                )
-                return
-            else:
+                endpoint.window(*params)
+                conn.send(("ok", endpoint.wait()))
+                continue
+            if op != "finalize":
                 raise DSEError(f"unknown shard-protocol op {op!r}")
-    except BaseException:
+            endpoint.finalize(*params)
+            owns_master = shard == cluster.plan.machine_shard[config.machine_of(0)]
+            final = (
+                cluster.partial_stats(shard),
+                cluster.sims[shard].events_processed,
+                launched._outcome if owns_master else None,
+            )
+            conn.send(("ok", final))
+            return
+    except Exception:
         try:
             conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
+        except OSError:
+            pass  # the parent is gone: nobody to report to
     finally:
         conn.close()
+
+
+class PipeShard:
+    """Endpoint proxy: forwards driver requests to a shard worker process."""
+
+    def __init__(self, ctx, shard: int, worker_args: tuple) -> None:
+        self.shard = shard
+        self.conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(
+            target=_shard_worker,
+            args=(child_conn, shard, *worker_args),
+            name=f"repro-shard-{shard}",
+        )
+        self.proc.start()
+        child_conn.close()
+
+    def window(self, horizon: float, records: list) -> None:
+        self.conn.send(("window", horizon, records))
+
+    def finalize(self, end: float) -> None:
+        self.conn.send(("finalize", end))
+
+    def wait(self) -> Any:
+        try:
+            tag, reply = self.conn.recv()
+        except EOFError:
+            raise DSEError(f"shard worker {self.shard} exited mid-run") from None
+        if tag == "error":
+            raise DSEError(f"shard worker {self.shard} failed:\n{reply}")
+        return reply
+
+    def close(self) -> None:
+        self.conn.close()
+        self.proc.join(timeout=5)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join()
 
 
 def run_parallel_process(
@@ -114,98 +139,29 @@ def run_parallel_process(
     from ..dse.runtime import RunResult
 
     plan = plan_for_config(config)
-    n = plan.n_shards
-    lookahead = min_frame_time(config.fabric.rate_bps)
-    station_shard = plan.machine_shard
     # Workers must not recurse into this backend when they rebuild.
-    worker_config = replace(config, shard_workers="inline")
-
+    worker_args = (replace(config, shard_workers="inline"), worker, args, args_of)
     ctx = multiprocessing.get_context()
-    conns = []
-    procs = []
+    shards: List[PipeShard] = []
     try:
-        for s in range(n):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(child_conn, s, worker_config, worker, args, args_of),
-                name=f"repro-shard-{s}",
-            )
-            proc.start()
-            child_conn.close()
-            conns.append(parent_conn)
-            procs.append(proc)
-
-        def recv(s: int):
-            msg = conns[s].recv()
-            if msg[0] == "error":
-                raise DSEError(f"shard worker {s} failed:\n{msg[1]}")
-            return msg
-
-        peeks: List[float] = [0.0] * n
-        nows: List[float] = [0.0] * n
-        for s in range(n):
-            tag, peek, now = recv(s)
-            assert tag == "ready"
-            peeks[s] = peek
-            nows[s] = now
-
-        pending: List[List[Any]] = [[] for _ in range(n)]
-        while True:
-            window_start = min(peeks)
-            for records in pending:
-                for record in records:
-                    if record[0] < window_start:
-                        window_start = record[0]
-            if window_start == _INF:
-                break
-            horizon = window_start + lookahead
-            for s in range(n):
-                conns[s].send(("window", horizon, pending[s]))
-                pending[s] = []
-            for s in range(n):
-                _tag, out, peek, now = recv(s)
-                peeks[s] = peek
-                nows[s] = now
-                for record in out:
-                    pending[station_shard[record[4]]].append(record)
-
-        # Align every shard's clock to the globally last event time before
-        # statistics are read — the inline engine's _finalize step.  The
-        # time-weighted monitors (run-queue load averages) integrate up to
-        # "now", so without this a shard's stats would depend on the map.
-        end_time = max(nows)
-        partials: List[Dict[str, float]] = []
-        outcome: Optional[Dict[str, Any]] = None
-        sim_events = 0
-        for s in range(n):
-            conns[s].send(("finalize", end_time))
-        for s in range(n):
-            tag, partial, events, shard_outcome = recv(s)
-            assert tag == "final"
-            partials.append(partial)
-            sim_events += events
-            if shard_outcome is not None:
-                outcome = shard_outcome
-        if outcome is None or "returns" not in outcome:
-            raise DSEError("master did not complete (deadlock or early drain)")
-        returns = outcome["returns"][0]  # SPMD: rank -> value dict
-        return RunResult(
-            elapsed=outcome["elapsed"],
-            returns=returns,
-            stats=merge_partial_stats(partials),
-            sim_events=sim_events,
-            config=config,
-            cluster=None,
+        for s in range(plan.n_shards):
+            shards.append(PipeShard(ctx, s, worker_args))
+        engine = ShardEngine(
+            shards, plan.machine_shard, min_frame_time(config.fabric.rate_bps)
         )
+        finals = engine.run_all()
     finally:
-        for conn in conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
-        for proc in procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
+        for shard in shards:
+            shard.close()
+    partials, events, outcomes = zip(*finals)
+    outcome = next((o for o in outcomes if o is not None), None)
+    if outcome is None or "returns" not in outcome:
+        raise DSEError("master did not complete (deadlock or early drain)")
+    return RunResult(
+        elapsed=outcome["elapsed"],
+        returns=outcome["returns"][0],  # SPMD: rank -> value dict
+        stats=merge_partial_stats(partials),
+        sim_events=sum(events),
+        config=config,
+        cluster=None,
+    )

@@ -472,6 +472,27 @@ class Simulator:
             return t
         return Timeout(self, delay, value, name)
 
+    def timeout_at(self, when: float, value: Any = None, name: str = "") -> Timeout:
+        """A timeout that fires at exactly ``when``.
+
+        ``timeout(when - now)`` fires at ``now + (when - now)``, which float
+        rounding can put one ulp away from ``when``.  Cross-shard handoffs
+        carry absolute effect times and must fire on them exactly, whatever
+        the arming simulator's clock reads (:mod:`repro.shard.fabric`).
+        """
+        if when < self.now:
+            raise ValueError(f"timeout at {when} is in the past (now={self.now})")
+        timer = Timeout.__new__(Timeout)
+        Event.__init__(timer, self, name)
+        timer._value = value
+        timer._ok = True
+        timer._scheduled = True
+        timer.delay = when - self.now
+        self._seq = seq = self._seq + 1
+        timer._entry = entry = [when, PRIORITY_NORMAL, seq, timer]
+        heappush(self._queue, entry)
+        return timer
+
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
 

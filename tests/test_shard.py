@@ -12,7 +12,6 @@ event stream.
 
 import json
 import os
-from types import SimpleNamespace
 
 import pytest
 
@@ -71,18 +70,22 @@ def test_matmul_identical_at_every_shard_count():
 
 
 def test_gauss_seidel_identical_at_every_shard_count():
+    # The process backend runs here too: this configuration is where a
+    # flush armed relative to a lagging card clock once put the inline and
+    # process window starts one ulp apart.
+    runs = ((1, "inline"), (2, "inline"), (4, "inline"), (2, "process"), (4, "process"))
     prints = {
-        s: _fingerprint(
+        run: _fingerprint(
             run_parallel(
-                _config(s, kernels=4, machines=4),
+                _config(run[0], kernels=4, machines=4, shard_workers=run[1]),
                 gauss_seidel_worker,
                 args=(16, 3),
             )
         )
-        for s in (1, 2, 4)
+        for run in runs
     }
-    assert prints[2] == prints[1]
-    assert prints[4] == prints[1]
+    for run in runs[1:]:
+        assert prints[run] == prints[runs[0]], run
 
 
 def test_traffic_full_stack_identical_at_every_shard_count():
@@ -139,6 +142,19 @@ def test_process_backend_matches_inline():
     )
 
 
+def test_snapshot_keys_and_types_identical_at_shards_0_1_2():
+    snaps = [
+        run_parallel(
+            _config(s, kernels=4, machines=4), gauss_seidel_worker, args=(12, 2)
+        ).stats
+        for s in (0, 1, 2)
+    ]
+    shapes = [[(key, type(value)) for key, value in snap.items()] for snap in snaps]
+    assert shapes[1] == shapes[0]
+    assert shapes[2] == shapes[0]
+    assert snaps[1] == snaps[0] and snaps[2] == snaps[0]
+
+
 def test_explicit_shard_map_changes_nothing_simulated():
     auto = run_parallel(
         _config(2, kernels=4, machines=4),
@@ -183,9 +199,7 @@ def _two_station_fabric(n_shards):
             sid,
             lambda frame, c=card, s=sid: delivered.append((s, c.sim.now)),
         )
-    engine = ShardEngine(
-        SimpleNamespace(sims=sims, network=SimpleNamespace(cards=cards))
-    )
+    engine = ShardEngine.in_process(cards)
     return sims, cards, engine, delivered
 
 
@@ -216,6 +230,22 @@ def test_frame_effect_exactly_at_horizon_is_not_lost():
     assert when == pytest.approx(expect, rel=0, abs=1e-15)
     assert when >= lookahead  # never delivered inside the emission window
     assert engine.stats["crossings"] == 1
+
+
+def test_flush_is_armed_at_the_exact_effect_time():
+    """Regression: a card whose clock lags a record's effect time ``t``
+    must arm the flush at exactly ``t``.  ``now + (t - now)`` is one ulp
+    short for this pair, which once made the process backend's window
+    start (computed from ``t``) differ from the inline engine's (read off
+    the armed heap)."""
+    now, t = 0.00034295854326924576, 0.0025133045160018546
+    assert now + (t - now) != t
+    sim = Simulator(start_time=now)
+    card = ShardSwitchCard(sim, 0, (0, 0), FabricConfig(kind="switch"))
+    frame = EthernetFrame(src=0, dst=1, payload=b"", payload_bytes=0)
+    card.inbox.append((t, 0, 1, t, 1, frame))
+    card.admit_pending()
+    assert sim.peek() == t
 
 
 def test_horizon_boundary_delivery_matches_single_shard():
