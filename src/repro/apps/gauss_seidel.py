@@ -19,6 +19,7 @@ one local block — the paper's fine-grain shared-memory traffic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, Generator, List, Tuple
 
 import numpy as np
@@ -50,6 +51,16 @@ def make_system(n: int, seed: int = 7) -> Tuple[np.ndarray, np.ndarray]:
     dominance = np.abs(a).sum(axis=1) + 1.0
     np.fill_diagonal(a, dominance)
     b = rng.uniform(-1.0, 1.0, size=n)
+    return a, b
+
+
+@lru_cache(maxsize=4)
+def _shared_system(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``make_system(n, seed)`` built once and shared by every rank of a
+    run (and by consecutive runs); read-only, so no rank can change it."""
+    a, b = make_system(n, seed)
+    a.setflags(write=False)
+    b.setflags(write=False)
     return a, b
 
 
@@ -112,11 +123,11 @@ def gauss_seidel_worker(
 ) -> Generator[Event, Any, Dict[str, Any]]:
     """DSE-parallel block Gauss-Seidel (run under ``run_parallel``).
 
-    Every rank regenerates the (deterministic) system and works on its
-    contiguous row block; the x vector is distributed across the ranks'
-    global-memory slices.
+    Every rank reads the same (deterministic, shared read-only) system and
+    works on its contiguous row block; the x vector is distributed across
+    the ranks' global-memory slices.
     """
-    a, b = make_system(n, seed)
+    a, b = _shared_system(n, seed)
     size, rank = api.size, api.rank
     bounds = row_partition(n, size)
     lo, hi = bounds[rank]

@@ -11,9 +11,12 @@ cannot use the processors at all.
 We reproduce exactly that: the search tree is split at a prefix depth into
 ``n_jobs`` (or slightly more) independent subtree jobs; each job's *real*
 node count and tour count come from actually running the backtracking
-search once (cached); processors then pull jobs from the shared queue, and
-the simulated cost per job is its measured node count times the per-node
-work.
+search.  It runs once per board and start square (cached): a job's counts
+depend only on its last square and visited set, so one search records them
+for every state down to half the board's squares, and every job count's
+prefixes are lookups.  Processors then take their jobs from a central work
+table, and the simulated cost per job is its measured node count times the
+per-node work.
 
 The sequential reference counts all complete tours from a fixed start
 square; the parallel result must match it exactly.
@@ -76,47 +79,72 @@ def knight_moves(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(moves)
 
 
-class _Search:
-    """Backtracking tour search with node counting."""
+def _census(n: int, start: int, depth: int) -> Dict[int, Tuple[int, int]]:
+    """Run the backtracking search from ``start`` once, counting as it goes.
 
-    __slots__ = ("n", "moves", "visited", "nodes", "tours", "total")
+    A subtree's ``(nodes, tours)`` depend only on its state: the last square
+    and the set of visited squares.  The result maps every state reached
+    with at most ``depth`` squares placed, keyed ``free * n * n + last``
+    (``free``: bit mask of the unvisited squares), to the node and tour
+    counts of its subtree.  A node is one call of the search: a square
+    placed, whether or not it extends to a tour.
+    """
+    total = n * n
+    reach = tuple(sum(1 << d for d in dests) for dests in knight_moves(n))
+    counts: Dict[int, Tuple[int, int]] = {}
+    tours = 0
 
-    def __init__(self, n: int):
-        self.n = n
-        self.moves = knight_moves(n)
-        self.total = n * n
-        self.visited = [False] * self.total
-        self.nodes = 0
-        self.tours = 0
+    def dfs(square: int, free: int, placed: int) -> int:
+        nonlocal tours
+        before = tours
+        nodes = 1
+        if free:
+            options = reach[square] & free
+            while options:
+                bit = options & -options
+                options ^= bit
+                nodes += dfs(bit.bit_length() - 1, free ^ bit, placed + 1)
+        else:
+            tours += 1
+        if placed <= depth:
+            counts[free * total + square] = (nodes, tours - before)
+        return nodes
 
-    def run_from(self, path: Tuple[int, ...]) -> None:
-        """Search all completions of ``path`` (marks/unmarks internally)."""
-        for sq in path:
-            if self.visited[sq]:
-                raise ApplicationError(f"prefix revisits square {sq}")
-            self.visited[sq] = True
-        self._dfs(path[-1], len(path))
-        for sq in path:
-            self.visited[sq] = False
+    dfs(start, ((1 << total) - 1) ^ (1 << start), 1)
+    return counts
 
-    def _dfs(self, square: int, placed: int) -> None:
-        self.nodes += 1
-        if placed == self.total:
-            self.tours += 1
-            return
-        visited = self.visited
-        for nxt in self.moves[square]:
-            if not visited[nxt]:
-                visited[nxt] = True
-                self._dfs(nxt, placed + 1)
-                visited[nxt] = False
+
+#: (board, start) -> (depth, census) of the deepest census built so far
+_CENSUSES: Dict[Tuple[int, int], Tuple[int, Dict[int, Tuple[int, int]]]] = {}
+
+
+def _subtree_counts(
+    n: int, start: int, prefixes: List[Tuple[int, ...]]
+) -> List[Tuple[int, int]]:
+    """``(nodes, tours)`` of the subtree below each prefix from ``start``.
+
+    One census per ``(board, start)`` answers every prefix of up to half
+    the board's squares; a deeper prefix rebuilds it at that depth.
+    """
+    depth = max([n * n // 2] + [len(p) for p in prefixes])
+    built = _CENSUSES.get((n, start))
+    if built is None or built[0] < depth:
+        built = _CENSUSES[(n, start)] = (depth, _census(n, start, depth))
+    counts = built[1]
+    full = (1 << (n * n)) - 1
+    out = []
+    for prefix in prefixes:
+        free = full
+        for sq in prefix:
+            free ^= 1 << sq
+        out.append(counts[free * n * n + prefix[-1]])
+    return out
 
 
 def count_tours_seq(n: int = DEFAULT_BOARD, start: int = DEFAULT_START) -> Tuple[int, int]:
     """Sequential reference: (number of complete tours, nodes visited)."""
-    search = _Search(n)
-    search.run_from((start,))
-    return search.tours, search.nodes
+    ((nodes, tours),) = _subtree_counts(n, start, [(start,)])
+    return tours, nodes
 
 
 @dataclass(frozen=True)
@@ -169,13 +197,10 @@ def knights_tour_workload(
             break
         frontier = nxt
 
-    search = _Search(board)
-    jobs: List[TourJob] = []
-    for path in frontier:
-        search.nodes = 0
-        search.tours = 0
-        search.run_from(path)
-        jobs.append(TourJob(prefix=path, nodes=search.nodes, tours=search.tours))
+    jobs = [
+        TourJob(prefix=path, nodes=nodes, tours=tours)
+        for path, (nodes, tours) in zip(frontier, _subtree_counts(board, start, frontier))
+    ]
     return KnightsTourWorkload(
         board=board,
         start=start,

@@ -20,7 +20,11 @@ paper Figures 16–18, depths ≤ 4); at deeper depths each job carries real
 search work and the pool scales.
 
 The per-node simulation cost is charged from the *measured* node count of
-the real search.
+the real search.  The host runs that search on bitboards: a position is two
+64-bit masks (the side to move, its opponent), moves come from a
+Kogge-Stone fill, flips from per-square ray masks and the evaluation from
+bit counts.  The tuple-board functions (``legal_moves``, ``apply_move``,
+``evaluate``, ``alphabeta``) are adapters over the same core.
 """
 
 from __future__ import annotations
@@ -63,32 +67,153 @@ INF = 10**9
 #: straightforward 1999 C implementation.
 NODE_WORK = Work(iops=2600.0)
 
-_CORNERS = (0, 7, 56, 63)
+#: all 64 squares; square ``r * 8 + c`` is bit ``r * 8 + c``
+_FULL = (1 << 64) - 1
+#: columns b-g: a run moving sideways (shift 1, 7 or 9) may only pass
+#: through these, so it never wraps from one row's edge onto the next row
+_INNER = 0x7E7E7E7E7E7E7E7E
+_CORNERS = (1 << 0) | (1 << 7) | (1 << 56) | (1 << 63)
+#: first bit of a second board lane (``_evaluate``).  One direction's fill
+#: moves a bit by at most 8 * 9 = 72 places, so the 128 zero bits between
+#: the lanes keep them apart.
+_LANE = 192
+_FULL2 = _FULL | _FULL << _LANE
+_INNER2 = _INNER | _INNER << _LANE
 
 
-def _build_rays() -> List[List[Tuple[int, ...]]]:
-    """For each square, the list of ray square-index tuples (8 directions)."""
-    rays: List[List[Tuple[int, ...]]] = []
+def _build_rays() -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """Per square, ``(up, down)``: the bit masks of its rays (8 directions)
+    that run towards higher and towards lower square numbers."""
+    rays = []
     for sq in range(64):
         r, c = divmod(sq, 8)
-        sq_rays = []
+        up: List[int] = []
+        down: List[int] = []
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
                 if dr == 0 and dc == 0:
                     continue
-                ray = []
+                mask, length = 0, 0
                 rr, cc = r + dr, c + dc
                 while 0 <= rr < 8 and 0 <= cc < 8:
-                    ray.append(rr * 8 + cc)
+                    mask |= 1 << (rr * 8 + cc)
+                    length += 1
                     rr += dr
                     cc += dc
-                if len(ray) >= 2:  # need at least opponent+own to flip
-                    sq_rays.append(tuple(ray))
-        rays.append(sq_rays)
-    return rays
+                if length >= 2:  # need at least opponent+own to flip
+                    (up if dr * 8 + dc > 0 else down).append(mask)
+        rays.append((tuple(up), tuple(down)))
+    return tuple(rays)
 
 
 _RAYS = _build_rays()
+
+
+def _fill_moves(own: int, opp: int, full: int, inner_cols: int) -> int:
+    """Bit mask of the legal moves of the side owning ``own``.
+
+    Per direction, a Kogge-Stone occluded fill grows runs of ``opp`` discs
+    out of ``own``; one more step from a run onto an empty square is a move.
+    ``full`` and ``inner_cols`` are ``_FULL`` and ``_INNER`` for one board,
+    or their two-lane versions for two boards at once (see ``_evaluate``).
+    """
+    empty = ~(own | opp) & full
+    inner = opp & inner_cols
+    moves = 0
+    for shift, pro in ((1, inner), (7, inner), (8, opp), (9, inner)):
+        s2 = shift * 2
+        # p (p4): squares a run can enter two (four) steps at a time
+        p = pro & (pro << shift)
+        p4 = p & (p << s2)
+        # towards higher squares
+        gen = own | (pro & (own << shift))
+        gen |= p & (gen << s2)
+        gen |= p4 & (gen << (s2 + s2))
+        moves |= ((gen & pro) << shift) & empty
+        # towards lower squares: the same propagators, mirrored
+        gen = own | (pro & (own >> shift))
+        gen |= (p >> shift) & (gen >> s2)
+        gen |= (p4 >> (shift * 3)) & (gen >> (s2 + s2))
+        moves |= ((gen & pro) >> shift) & empty
+    return moves
+
+
+def _moves(own: int, opp: int) -> int:
+    """Bit mask of the legal moves of the side owning ``own``."""
+    return _fill_moves(own, opp, _FULL, _INNER)
+
+
+def _flips(own: int, opp: int, square: int) -> int:
+    """Bit mask of the discs the side owning ``own`` flips by playing the
+    empty ``square`` (0 = illegal): along each ray, the ``opp`` run up to
+    the first other square, if that square is ``own``."""
+    flips = 0
+    up, down = _RAYS[square]
+    blockers = ~opp
+    for ray in up:
+        stop = ray & blockers
+        first = stop & -stop
+        if first & own:
+            flips |= ray & (first - 1)
+    for ray in down:
+        stop = ray & blockers
+        if stop:
+            first = 1 << (stop.bit_length() - 1)
+            if first & own:
+                flips |= ray & -(first << 1)
+    return flips
+
+
+def _play(own: int, opp: int, square: int) -> Tuple[int, int]:
+    """Play the legal ``square`` for the side owning ``own``; returns the
+    new position from the side of the player who moves next."""
+    flips = _flips(own, opp, square)
+    return opp ^ flips, own | flips | (1 << square)
+
+
+def _squares(mask: int) -> List[int]:
+    """The set bits of ``mask`` as ascending square numbers."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return out
+
+
+def _bits(board: Tuple[int, ...], player: int) -> Tuple[int, int]:
+    """``(own, opp)`` bit masks of ``board`` from ``player``'s side."""
+    own = opp = 0
+    for sq, v in enumerate(board):
+        if v == player:
+            own |= 1 << sq
+        elif v == -player:
+            opp |= 1 << sq
+    return own, opp
+
+
+def _board(own: int, opp: int, player: int) -> Tuple[int, ...]:
+    """The tuple board of ``(own, opp)`` with ``own`` played by ``player``."""
+    return tuple(
+        player if own >> sq & 1 else -player if opp >> sq & 1 else EMPTY
+        for sq in range(64)
+    )
+
+
+def _evaluate(own: int, opp: int) -> int:
+    """Material + 4 * mobility + 25 * corners, for the side owning ``own``.
+
+    Mobility needs both sides' moves: one fill computes them, with the
+    board from ``own``'s side in bits 0-63 and from ``opp``'s side in the
+    lane at ``_LANE``.
+    """
+    moves = _fill_moves(own | opp << _LANE, opp | own << _LANE, _FULL2, _INNER2)
+    return (
+        own.bit_count()
+        - opp.bit_count()
+        + 4 * ((moves & _FULL).bit_count() - (moves >> _LANE).bit_count())
+        + 25 * ((own & _CORNERS).bit_count() - (opp & _CORNERS).bit_count())
+    )
 
 
 def initial_board() -> Tuple[int, ...]:
@@ -104,65 +229,37 @@ def midgame_board() -> Tuple[int, ...]:
 
     Experiments search from here so every depth has a bushy tree.
     """
-    board = initial_board()
+    own, opp = _bits(initial_board(), BLACK)
     player = BLACK
     # 8 plies of greedy self-play (most flips first, lowest index tiebreak).
     for _ in range(8):
-        moves = legal_moves(board, player)
-        if not moves:
-            player = -player
-            continue
-        best = max(moves, key=lambda m: (len(_flips(board, m, player)), -m))
-        board = apply_move(board, best, player)
+        moves = _squares(_moves(own, opp))
+        if moves:
+            best = max(moves, key=lambda m: (_flips(own, opp, m).bit_count(), -m))
+            own, opp = _play(own, opp, best)
+        else:
+            own, opp = opp, own
         player = -player
-    return board
-
-
-def _flips(board: Tuple[int, ...], square: int, player: int) -> List[int]:
-    """Discs flipped by ``player`` moving at ``square`` (empty = illegal)."""
-    if board[square] != EMPTY:
-        return []
-    opponent = -player
-    flips: List[int] = []
-    for ray in _RAYS[square]:
-        if board[ray[0]] != opponent:
-            continue
-        run = [ray[0]]
-        for pos in ray[1:]:
-            v = board[pos]
-            if v == opponent:
-                run.append(pos)
-            elif v == player:
-                flips.extend(run)
-                break
-            else:
-                break
-    return flips
+    return _board(own, opp, player)
 
 
 def legal_moves(board: Tuple[int, ...], player: int) -> List[int]:
     """All legal squares for ``player`` (ascending order: deterministic)."""
-    return [sq for sq in range(64) if board[sq] == EMPTY and _flips(board, sq, player)]
+    return _squares(_moves(*_bits(board, player)))
 
 
 def apply_move(board: Tuple[int, ...], square: int, player: int) -> Tuple[int, ...]:
-    flips = _flips(board, square, player)
+    own, opp = _bits(board, player)
+    flips = 0 if (own | opp) >> square & 1 else _flips(own, opp, square)
     if not flips:
         raise ApplicationError(f"illegal move {square} for player {player}")
-    new = list(board)
-    new[square] = player
-    for f in flips:
-        new[f] = player
-    return tuple(new)
+    return _board(own | flips | (1 << square), opp ^ flips, player)
 
 
 def evaluate(board: Tuple[int, ...], player: int) -> int:
     """Static evaluation from ``player``'s perspective: material +
     mobility + corner control (a standard lightweight 1999-era heuristic)."""
-    material = sum(board) * player
-    mobility = len(legal_moves(board, player)) - len(legal_moves(board, -player))
-    corners = sum(player * board[c] for c in _CORNERS)
-    return material + 4 * mobility + 25 * corners
+    return _evaluate(*_bits(board, player))
 
 
 class _Counter:
@@ -173,26 +270,31 @@ class _Counter:
 
 
 def _alphabeta(
-    board: Tuple[int, ...],
-    player: int,
+    own: int,
+    opp: int,
     depth: int,
     alpha: int,
     beta: int,
     counter: _Counter,
     passed: bool = False,
 ) -> int:
+    """Negamax alpha-beta for the side owning ``own``; moves are visited
+    in ascending square order (lowest set bit first)."""
     counter.nodes += 1
     if depth == 0:
-        return evaluate(board, player)
-    moves = legal_moves(board, player)
+        return _evaluate(own, opp)
+    moves = _moves(own, opp)
     if not moves:
         if passed:  # game over: exact disc difference dominates
-            return 1000 * sum(board) * player
-        return -_alphabeta(board, -player, depth - 1, -beta, -alpha, counter, True)
+            return 1000 * (own.bit_count() - opp.bit_count())
+        return -_alphabeta(opp, own, depth - 1, -beta, -alpha, counter, True)
     value = -INF
-    for move in moves:
-        child = apply_move(board, move, player)
-        score = -_alphabeta(child, -player, depth - 1, -beta, -alpha, counter)
+    while moves:
+        bit = moves & -moves
+        moves ^= bit
+        score = -_alphabeta(
+            *_play(own, opp, bit.bit_length() - 1), depth - 1, -beta, -alpha, counter
+        )
         if score > value:
             value = score
         if value > alpha:
@@ -202,15 +304,19 @@ def _alphabeta(
     return value
 
 
+def _search(own: int, opp: int, depth: int) -> Tuple[int, int]:
+    counter = _Counter()
+    value = _alphabeta(own, opp, depth, -INF, INF, counter)
+    return value, counter.nodes
+
+
 def alphabeta(
     board: Tuple[int, ...], player: int, depth: int
 ) -> Tuple[int, int]:
     """Full-window alpha-beta search; returns (value, nodes visited)."""
     if depth < 0:
         raise ApplicationError(f"depth must be >= 0, got {depth}")
-    counter = _Counter()
-    value = _alphabeta(board, player, depth, -INF, INF, counter)
-    return value, counter.nodes
+    return _search(*_bits(board, player), depth)
 
 
 def best_move_seq(
@@ -265,22 +371,22 @@ def othello_workload(depth: int, use_midgame: bool = True) -> OthelloWorkload:
         raise ApplicationError(f"search depth must be >= 1, got {depth}")
     board = midgame_board() if use_midgame else initial_board()
     player = BLACK
-    moves = legal_moves(board, player)
+    own, opp = _bits(board, player)
+    moves = _squares(_moves(own, opp))
     jobs: List[_Job] = []
     for m1 in moves:
-        child1 = apply_move(board, m1, player)
+        # (opp1, own1): the position after m1, opponent to move
+        opp1, own1 = _play(own, opp, m1)
         if depth < 2:
-            value, nodes = evaluate(child1, player), 1
-            jobs.append(_Job(m1, -1, value, nodes))
+            jobs.append(_Job(m1, -1, _evaluate(own1, opp1), 1))
             continue
-        replies = legal_moves(child1, -player)
+        replies = _squares(_moves(opp1, own1))
         if not replies:
-            value, nodes = alphabeta(child1, -player, depth - 1)
+            value, nodes = _search(opp1, own1, depth - 1)
             jobs.append(_Job(m1, -1, -value, nodes + 1))
             continue
         for m2 in replies:
-            child2 = apply_move(child1, m2, -player)
-            value, nodes = alphabeta(child2, player, depth - 2)
+            value, nodes = _search(*_play(opp1, own1, m2), depth - 2)
             # value is for `player`; job value stored from root perspective
             jobs.append(_Job(m1, m2, value, nodes + 1))
     workload = OthelloWorkload(

@@ -420,7 +420,6 @@ def main(argv: List[str] | None = None) -> int:
 
     failures = 0
     for fig_id in wanted:
-        start = time.perf_counter()
         fig = computed[fig_id]
         print(fig.to_text())
         if args.plot and fig_id != "table1":
@@ -433,7 +432,7 @@ def main(argv: List[str] | None = None) -> int:
                 status = "PASS" if ok else "FAIL"
                 print(f"  [{status}] {description}")
                 failures += 0 if ok else 1
-        print(f"  ({time.perf_counter() - start:.1f}s wall)\n")
+        print()
     summary = f"computed {len(wanted)} figure(s) in {sweep_wall:.1f}s with jobs={args.jobs}"
     if cache is not None:
         summary += f"; {cache.summary()}"

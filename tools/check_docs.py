@@ -6,7 +6,7 @@ Stdlib only, so CI (and anyone) can run it without installing anything
 
     python tools/check_docs.py [repo-root] [--no-exec]
 
-Three checks, all fail the build on violations:
+Four checks, all fail the build on violations:
 
 1. **Markdown links** — every relative link or image target in
    ``docs/*.md`` and ``README.md`` must resolve to an existing file or
@@ -23,11 +23,18 @@ Three checks, all fail the build on violations:
    a non-zero exit fails the lint.  Illustrative fragments opt out by
    tagging the fence ``python snippet``.  Skip the whole check (e.g. in
    an environment without numpy) with ``--no-exec``.
+4. **Recorded claims** — a sentence that calls a number *recorded* must
+   quote a number some ``BENCH_*.json`` at the repo root holds.  Every
+   measurement-looking number in such a sentence (one with a decimal
+   point, or an integer with thousands separators, outside inline code)
+   must equal a number in one of those files, as written: ``3.92``
+   matches a stored ``3.9187``, ``332,739`` matches ``332739``.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -39,6 +46,10 @@ from pathlib import Path
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _EXTERNAL = ("http://", "https://", "mailto:")
 _FENCE_RE = re.compile(r"^(```|~~~)")
+_RECORDED_RE = re.compile(r"\brecorded\b", re.IGNORECASE)
+#: decimals (``3.92``) and separated integers (``332,739``), not part of a
+#: longer token such as a version string or a section number
+_MEASURE_RE = re.compile(r"(?<![\w.,])(\d{1,3}(?:,\d{3})+|\d+\.\d+)(?!\d|[.,]\d)")
 
 
 def iter_markdown(root: Path):
@@ -104,6 +115,72 @@ def check_docstrings(root: Path) -> list[str]:
             errors.append(f"{relpath}: syntax error: {exc}")
             continue
         errors.extend(_missing_docstrings(tree, relpath))
+    return errors
+
+
+def _prose_sentences(md: Path):
+    """``(lineno, sentence)`` of the prose outside code fences, with
+    inline code removed; a sentence may span the lines of a paragraph."""
+    in_fence, start, lines = False, 0, []
+    for lineno, line in enumerate(md.read_text().splitlines() + [""], 1):
+        stripped = line.strip()
+        if _FENCE_RE.match(stripped):
+            in_fence = not in_fence
+        elif stripped and not in_fence:
+            start = start or lineno
+            lines.append(stripped)
+            continue
+        # a blank line or a fence ends the paragraph
+        text = re.sub(r"`[^`]*`", "", "\n".join(lines))
+        pos = 0
+        for sentence in re.split(r"(?<=[.!?])\s+", text) if lines else []:
+            yield start + text.count("\n", 0, pos), sentence
+            pos += len(sentence) + 1
+        start, lines = 0, []
+
+
+def _bench_numbers(root: Path) -> list:
+    numbers = []
+
+    def walk(value):
+        if isinstance(value, bool):
+            return
+        if isinstance(value, (int, float)):
+            numbers.append(value)
+        elif isinstance(value, dict):
+            for v in value.values():
+                walk(v)
+        elif isinstance(value, list):
+            for v in value:
+                walk(v)
+
+    for path in sorted(root.glob("BENCH_*.json")):
+        walk(json.loads(path.read_text()))
+    return numbers
+
+
+def _held(quoted: str, numbers: list) -> bool:
+    if "," in quoted:
+        return int(quoted.replace(",", "")) in numbers
+    places = len(quoted.split(".")[1])
+    return any(f"{n:.{places}f}" == quoted for n in numbers)
+
+
+def check_recorded_claims(root: Path) -> list[str]:
+    errors = []
+    numbers = _bench_numbers(root)
+    for md in iter_markdown(root):
+        if not md.exists():
+            continue
+        for lineno, sentence in _prose_sentences(md):
+            if not _RECORDED_RE.search(sentence):
+                continue
+            for quoted in _MEASURE_RE.findall(sentence):
+                if not _held(quoted, numbers):
+                    errors.append(
+                        f"{md.relative_to(root)}:{lineno}: {quoted} is quoted as "
+                        "recorded, but no BENCH_*.json holds it"
+                    )
     return errors
 
 
@@ -178,24 +255,26 @@ def main(argv: list[str]) -> int:
     root = Path(args[0]).resolve() if args else Path(__file__).resolve().parents[1]
     link_errors = check_links(root)
     doc_errors = check_docstrings(root)
+    claim_errors = check_recorded_claims(root)
     exec_errors: list[str] = []
     n_blocks = 0
     if run_exec:
         exec_errors, n_blocks = check_doc_execution(root)
-    for err in link_errors + doc_errors + exec_errors:
+    for err in link_errors + doc_errors + claim_errors + exec_errors:
         print(err)
     n_md = sum(1 for _ in iter_markdown(root))
     print(
         f"checked {n_md} markdown files "
         f"({len(link_errors)} broken links), "
         f"docstrings in src/repro ({len(doc_errors)} missing), "
+        f"recorded claims ({len(claim_errors)} not in a BENCH file), "
         + (
             f"executed {n_blocks} python doc blocks ({len(exec_errors)} pages failed)"
             if run_exec
             else "doc execution skipped (--no-exec)"
         )
     )
-    return 1 if (link_errors or doc_errors or exec_errors) else 0
+    return 1 if (link_errors or doc_errors or claim_errors or exec_errors) else 0
 
 
 if __name__ == "__main__":
