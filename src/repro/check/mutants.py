@@ -21,7 +21,7 @@ here, behind test-only subclasses that production code never imports:
 from __future__ import annotations
 
 from ..protocol.packet import Packet
-from ..protocol.tcp import ReliableService
+from ..protocol.tcp import ReliableService, _Seg
 
 
 class LostWakeupReliableService(ReliableService):
@@ -42,21 +42,9 @@ class LostWakeupReliableService(ReliableService):
         expected = self._recv_seq.get(key, 0)
         # BUG (reintroduced): acks everything seen, including segments we
         # are about to discard as out-of-order.
-        self._send_ack(packet.src, packet.dst_port, seg.seq)
+        self._send_ack(packet.src, _Seg("ack", seg.seq, packet.dst_port))
         if seg.seq != expected:
             self.stats.counter("duplicates_dropped").increment()
             return
         self._recv_seq[key] = expected + 1
-        user_packet = Packet(
-            src=packet.src,
-            dst=packet.dst,
-            src_port=packet.src_port,
-            dst_port=packet.dst_port,
-            payload=seg.user_payload,
-            payload_bytes=packet.payload_bytes,
-            trace=packet.trace,
-        )
-        self.stats.counter("delivered").increment()
-        if outer.on_arrival is not None:
-            outer.on_arrival(user_packet)
-        outer.queue.put(user_packet)
+        self._deliver_user(packet, seg.user_payload, outer)

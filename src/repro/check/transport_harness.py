@@ -2,9 +2,9 @@
 
 Wraps the *real* :mod:`repro.protocol` services -- stop-and-wait
 (:class:`~repro.protocol.tcp.ReliableService`), go-back-N
-(:class:`~repro.protocol.tcp.WindowedReliableService`), selective repeat
-(:class:`~repro.protocol.sr.SelectiveRepeatService`) and the dual-channel
-front (:class:`~repro.protocol.channels.DualChannelService`) -- around a
+(:class:`~repro.protocol.tcp.WindowedReliableService`) and selective
+repeat (:class:`~repro.protocol.sr.SelectiveRepeatService`, which also
+serves the ``dual`` scope with its raw lane on) -- around a
 :class:`ModelNIC` that, instead of simulating a link, parks every
 transmitted frame in a *choice pool*.  The scheduler then decides, frame
 by frame, whether to deliver, drop, or duplicate it, and when to let the
@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError
-from ..protocol.channels import DualChannelService
 from ..protocol.sr import SelectiveRepeatService, SRSegment, coalesce_ranges
 from ..protocol.tcp import ReliableService, WindowedReliableService, _Seg
 from ..protocol.udp import DatagramService
@@ -128,14 +127,11 @@ class TransportHarness:
                 WindowedReliableService(self.sim, dg, window=window)
                 for dg in self.datagrams
             ]
-        elif kind == "sr":
+        elif kind in ("sr", "dual"):
             self.services = [
-                SelectiveRepeatService(self.sim, dg, max_window=window)
-                for dg in self.datagrams
-            ]
-        elif kind == "dual":
-            self.services = [
-                DualChannelService(self.sim, dg, max_window=window)
+                SelectiveRepeatService(
+                    self.sim, dg, max_window=window, dual_channel=kind == "dual"
+                )
                 for dg in self.datagrams
             ]
         else:
@@ -316,9 +312,7 @@ class TransportHarness:
         errors = []
         for packet in self._new_acks:
             seg: SRSegment = packet.payload
-            service = _sr_core(self.services[packet.src])
-            if service is None:
-                continue
+            service = self.services[packet.src]
             rx = service._rx.get((packet.dst, seg.port))
             if rx is None:
                 errors.append(f"ack for unknown rx flow {seg.port}")
@@ -372,14 +366,6 @@ class TransportHarness:
         )
 
 
-def _sr_core(service) -> Optional[SelectiveRepeatService]:
-    if isinstance(service, SelectiveRepeatService):
-        return service
-    if isinstance(service, DualChannelService):
-        return service.reliable
-    return None
-
-
 def _stats_state(service) -> tuple:
     return tuple(sorted(service.stats.snapshot().items()))
 
@@ -405,7 +391,6 @@ def _service_state(kind: str, service) -> tuple:
             tuple(sorted(service._retries.items())),
             _stats_state(service),
         )
-    sr = _sr_core(service)
     flows = tuple(
         (
             key,
@@ -428,13 +413,13 @@ def _service_state(kind: str, service) -> tuple:
             f.high_sack,
             f.n_sacked,
         )
-        for key, f in sorted(sr._flows.items())
+        for key, f in sorted(service._flows.items())
     )
     rx = tuple(
         (key, r.rcv_next, tuple(sorted(r.buffer)))
-        for key, r in sorted(sr._rx.items())
+        for key, r in sorted(service._rx.items())
     )
-    return (flows, rx, _stats_state(sr), _stats_state(service))
+    return (flows, rx, _stats_state(service))
 
 
 def _service_invariants(kind: str, service) -> List[str]:
@@ -454,10 +439,7 @@ def _service_invariants(kind: str, service) -> List[str]:
             if bad:
                 errors.append(f"gbn {key}: buffered seqs {bad} outside window")
         return errors
-    sr = _sr_core(service)
-    if sr is None:
-        return errors
-    for key, flow in sr._flows.items():
+    for key, flow in service._flows.items():
         if flow.base > flow.next_seq:
             errors.append(f"sr {key}: base {flow.base} > next {flow.next_seq}")
         bad = [s for s in flow.buffer if not flow.base <= s < flow.next_seq]
@@ -468,11 +450,11 @@ def _service_invariants(kind: str, service) -> List[str]:
             errors.append(
                 f"sr {key}: n_sacked {flow.n_sacked} != actual {n_sacked}"
             )
-        if flow.cwnd < sr.cwnd_floor - 1e-9:
-            errors.append(f"sr {key}: cwnd {flow.cwnd} below floor {sr.cwnd_floor}")
-        if flow.cwnd > sr.max_window + 1e-9:
-            errors.append(f"sr {key}: cwnd {flow.cwnd} above max {sr.max_window}")
-    for key, rx in sr._rx.items():
+        if flow.cwnd < service.cwnd_floor - 1e-9:
+            errors.append(f"sr {key}: cwnd {flow.cwnd} below floor {service.cwnd_floor}")
+        if flow.cwnd > service.max_window + 1e-9:
+            errors.append(f"sr {key}: cwnd {flow.cwnd} above max {service.max_window}")
+    for key, rx in service._rx.items():
         bad = [s for s in rx.buffer if s <= rx.rcv_next]
         if bad:
             errors.append(

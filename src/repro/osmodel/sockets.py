@@ -55,10 +55,8 @@ class Socket:
         """Send one message; completes when handed to the NIC (datagram) or
         acknowledged (reliable transport).
 
-        ``channel`` selects the dual-channel lane ("reliable" or
-        "unreliable") when the machine runs the ``dual`` transport; it is
-        ignored (with a counter) on single-channel transports so callers
-        can classify unconditionally.
+        ``channel``, when given, is forwarded to the transport's ``send``
+        (the ``dual`` transport's lane: "reliable" or "unreliable").
         """
         self._check_open()
         span = None
@@ -80,19 +78,15 @@ class Socket:
             self.machine.transport.loopback(
                 dst_port, payload, payload_bytes, src_port=self.port, trace=trace
             )
-        elif channel is not None and getattr(
-            self.machine.transport, "dual_channel", False
-        ):
-            yield from self.machine.transport.send(
-                dst_station, dst_port, payload, payload_bytes,
-                src_port=self.port, trace=trace, channel=channel,
-            )
-        else:
-            if channel is not None:
-                self.machine.stats.counter("channel_hints_ignored").increment()
+        elif channel is None:
             yield from self.machine.transport.send(
                 dst_station, dst_port, payload, payload_bytes,
                 src_port=self.port, trace=trace,
+            )
+        else:
+            yield from self.machine.transport.send(
+                dst_station, dst_port, payload, payload_bytes,
+                src_port=self.port, trace=trace, channel=channel,
             )
         if span is not None:
             self.obs.end(span, self.proc.sim.now)

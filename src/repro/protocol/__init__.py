@@ -1,8 +1,9 @@
-"""Transport protocols: datagram, reliable, and dual-channel services."""
+"""Transport protocols: the datagram service and the reliable services."""
 
-from .channels import CHANNELS, DualChannelService
 from .packet import Fragment, Packet, UDP_HEADER_BYTES, fragment_sizes
+from .port import ReliablePort
 from .sr import (
+    CHANNELS,
     SR_ACK_PORT_OFFSET,
     SelectiveRepeatService,
     SRSegment,
@@ -22,8 +23,8 @@ __all__ = [
     "Packet",
     "UDP_HEADER_BYTES",
     "fragment_sizes",
+    "ReliablePort",
     "CHANNELS",
-    "DualChannelService",
     "SR_ACK_PORT_OFFSET",
     "SelectiveRepeatService",
     "SRSegment",

@@ -24,10 +24,16 @@ A flow is one ``(destination station, destination port)`` stream.  All
 state machines are documented with diagrams in ``docs/networking.md``; the
 loss benchmarks live in ``benchmarks/bench_transport_loss.py``.
 
-The receive path is **dual-channel capable**: a packet whose payload is
-not an :class:`SRSegment` is delivered straight to the bound mailbox, so
-:class:`~repro.protocol.channels.DualChannelService` can interleave raw
-(unreliable, low-latency) datagrams with reliable traffic on one port.
+The port plumbing (ack port, ``bind``/``unbind``, ``loopback``, delivery)
+is :class:`~repro.protocol.port.ReliablePort`.
+
+**Dual channel.**  The ``dual`` transport is this service built with
+``dual_channel=True``: ``send(..., channel="unreliable")`` then takes the
+raw datagram lane (no sequencing, no acks, one fragment train and done;
+``repro.dse.exchange`` repairs loss by retrying idempotent requests).
+The receive path delivers any packet whose payload is not an
+:class:`SRSegment` straight to the bound mailbox, so raw and reliable
+traffic interleave on one port and receivers need no channel awareness.
 """
 
 from __future__ import annotations
@@ -38,11 +44,12 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ..errors import ProtocolError
 from ..obs.spans import NET_TID, NULL_RECORDER
 from ..sim.core import Event, Simulator
-from ..sim.monitor import StatSet
 from .packet import Packet
+from .port import ReliablePort
 from .udp import DatagramService, Mailbox
 
 __all__ = [
+    "CHANNELS",
     "SRSegment",
     "SelectiveRepeatService",
     "SR_ACK_PORT_OFFSET",
@@ -51,6 +58,9 @@ __all__ = [
 
 #: acks for the selective-repeat service use their own well-known port
 SR_ACK_PORT_OFFSET = 32770
+
+#: the two lanes of the ``dual`` transport
+CHANNELS = ("reliable", "unreliable")
 
 
 def coalesce_ranges(seqs: List[int]) -> Tuple[Tuple[int, int], ...]:
@@ -165,16 +175,18 @@ class _RxFlow:
         self.buffer: Dict[int, Packet] = {}  # out-of-order hold
 
 
-class SelectiveRepeatService:
+class SelectiveRepeatService(ReliablePort):
     """Reliable in-order delivery with selective repeat, SACK and AIMD.
 
     Usage mirrors the other reliable services: ``bind`` a port, ``send``
     to a station/port.  ``send`` completes when the segment has entered
     the congestion window and been transmitted once (pipelined); use
-    :meth:`flush` to wait for full acknowledgement of a flow.
+    :meth:`flush` to wait for full acknowledgement of a flow.  With
+    ``dual_channel=True`` ``send`` also offers the raw unreliable lane.
     """
 
-    ACK_BYTES = 4
+    NAME = "sr"
+    ACK_PORT = SR_ACK_PORT_OFFSET
     #: extra accounted wire bytes per advertised SACK range (two seqnos)
     SACK_RANGE_BYTES = 8
     #: segments SACKed past an outstanding segment before fast retransmit
@@ -192,14 +204,16 @@ class SelectiveRepeatService:
         max_rto: float = 0.200,
         max_sack_ranges: int = 3,
         max_stall_rounds: int = 30,
+        dual_channel: bool = False,
     ):
         if max_window < 1:
             raise ProtocolError(f"max_window must be >= 1, got {max_window}")
         if cwnd_floor < 1.0:
             raise ProtocolError(f"cwnd_floor must be >= 1, got {cwnd_floor}")
-        self.sim = sim
-        self.datagram = datagram
-        self.station = datagram.station
+        super().__init__(sim, datagram)
+        #: ``dual`` transport: ``send`` takes ``channel="unreliable"`` too
+        #: (the exchange layer reads this flag to classify messages)
+        self.dual_channel = dual_channel
         self.max_window = max_window
         self.cwnd_init = cwnd_init
         self.cwnd_floor = cwnd_floor
@@ -210,78 +224,15 @@ class SelectiveRepeatService:
         self.max_stall_rounds = max_stall_rounds
         self._flows: Dict[Tuple[int, int], _SRFlow] = {}
         self._rx: Dict[Tuple[int, int], _RxFlow] = {}
-        self._bound: Dict[int, Mailbox] = {}
-        self._ack_mailbox: Optional[Mailbox] = None
-        self.stats = StatSet(f"sr:{self.station}")
         self.obs = getattr(sim, "obs", None) or NULL_RECORDER
 
-    # -- setup --------------------------------------------------------------
-    def _ensure_ack_port(self) -> None:
-        if self._ack_mailbox is None:
-            self._ack_mailbox = self.datagram.bind(SR_ACK_PORT_OFFSET)
-            self._ack_mailbox.on_arrival = self._on_ack
-
-    def bind(self, port: int) -> Mailbox:
-        """Bind a reliable port; returns the mailbox of *user* packets."""
-        if port >= SR_ACK_PORT_OFFSET:
-            raise ProtocolError(f"reliable ports must be < {SR_ACK_PORT_OFFSET}")
-        if port in self._bound:
-            raise ProtocolError(f"selective-repeat port {port} already bound")
-        self._ensure_ack_port()
-        inner = self.datagram.bind(port)
-        outer = Mailbox(self.sim, self.station, port)
-        inner.on_arrival = lambda pkt: self._on_packet(pkt, outer)
-        # Drain the inner queue so packets do not accumulate twice.
-        self.sim.process(self._sink(inner), name=f"sr-sink:{self.station}:{port}")
-        self._bound[port] = outer
-        return outer
-
-    def unbind(self, port: int) -> None:
-        if port not in self._bound:
-            raise ProtocolError(f"selective-repeat port {port} is not bound")
-        del self._bound[port]
-        self.datagram.unbind(port)
-
-    def _sink(self, inner: Mailbox) -> Generator[Event, Any, None]:
-        while True:
-            yield inner.get()
-
-    def loopback(
-        self,
-        dst_port: int,
-        payload: Any,
-        payload_bytes: int,
-        src_port: int = 0,
-        trace: Any = None,
-    ) -> Packet:
-        """Local delivery (inherently loss-free: bypasses the window)."""
-        outer = self._bound.get(dst_port)
-        if outer is None:
-            raise ProtocolError(f"selective-repeat port {dst_port} is not bound")
-        packet = Packet(
-            src=self.station,
-            dst=self.station,
-            src_port=src_port,
-            dst_port=dst_port,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            trace=trace,
-        )
-        self.stats.counter("loopback_packets").increment()
-        if outer.on_arrival is not None:
-            outer.on_arrival(packet)
-        outer.queue.put(packet)
-        return packet
-
     # -- receive path -------------------------------------------------------
-    def _on_packet(self, packet: Packet, outer: Mailbox) -> None:
+    def _on_data(self, packet: Packet, outer: Mailbox) -> None:
         seg = packet.payload
         if not isinstance(seg, SRSegment):
             # Dual-channel raw datagram: no sequencing, deliver as-is.
             self.stats.counter("raw_delivered").increment()
-            if outer.on_arrival is not None:
-                outer.on_arrival(packet)
-            outer.queue.put(packet)
+            outer.deliver(packet)
             return
         key = (packet.src, packet.dst_port)
         flow = self._rx.setdefault(key, _RxFlow())
@@ -290,12 +241,12 @@ class SelectiveRepeatService:
             # sender stops retransmitting.
             self.stats.counter("duplicates_dropped").increment()
         elif seg.seq == flow.rcv_next:
-            self._deliver(packet, seg, outer)
+            self._deliver_user(packet, seg.user_payload, outer)
             flow.rcv_next += 1
             # Drain any buffered run that became contiguous.
             while flow.rcv_next in flow.buffer:
                 held = flow.buffer.pop(flow.rcv_next)
-                self._deliver(held, held.payload, outer)
+                self._deliver_user(held, held.payload.user_payload, outer)
                 flow.rcv_next += 1
         elif seg.seq in flow.buffer:
             self.stats.counter("duplicates_dropped").increment()
@@ -303,35 +254,15 @@ class SelectiveRepeatService:
             # Out of order: selective repeat buffers it instead of dropping.
             flow.buffer[seg.seq] = packet
             self.stats.counter("out_of_order_buffered").increment()
-        self._send_ack(packet.src, packet.dst_port, flow)
+        self._sack(packet.src, packet.dst_port, flow)
 
-    def _deliver(self, packet: Packet, seg: SRSegment, outer: Mailbox) -> None:
-        user_packet = Packet(
-            src=packet.src,
-            dst=packet.dst,
-            src_port=packet.src_port,
-            dst_port=packet.dst_port,
-            payload=seg.user_payload,
-            payload_bytes=packet.payload_bytes,
-            trace=packet.trace,
-        )
-        self.stats.counter("delivered").increment()
-        if outer.on_arrival is not None:
-            outer.on_arrival(user_packet)
-        outer.queue.put(user_packet)
-
-    def _send_ack(self, dst: int, port: int, flow: _RxFlow) -> None:
+    def _sack(self, dst: int, port: int, flow: _RxFlow) -> None:
         ranges = coalesce_ranges(list(flow.buffer))[: self.max_sack_ranges]
         ack = SRSegment(kind="ack", seq=flow.rcv_next, port=port, sack=ranges)
         self.stats.counter("sacks_sent").increment()
         if ranges:
             self.stats.tally("sack_ranges").observe(len(ranges))
-        nbytes = self.ACK_BYTES + len(ranges) * self.SACK_RANGE_BYTES
-
-        def do_send() -> Generator[Event, Any, None]:
-            yield from self.datagram.send(dst, SR_ACK_PORT_OFFSET, ack, nbytes)
-
-        self.sim.process(do_send(), name=f"sr-ack:{self.station}")
+        self._send_ack(dst, ack, self.ACK_BYTES + len(ranges) * self.SACK_RANGE_BYTES)
 
     # -- sender: ack processing --------------------------------------------
     def _on_ack(self, packet: Packet) -> None:
@@ -447,9 +378,26 @@ class SelectiveRepeatService:
         payload_bytes: int,
         src_port: int = 0,
         trace: Any = None,
+        channel: str = "reliable",
     ) -> Generator[Event, Any, None]:
-        """Send one message; completes when it has entered the window (it
-        may still be in flight — use :meth:`flush` for a full drain)."""
+        """Send one message on ``channel``.
+
+        ``reliable`` completes when the message has entered the window (it
+        may still be in flight — use :meth:`flush` for a full drain).
+        ``unreliable`` (``dual_channel`` only) completes when the fragments
+        are handed to the NIC — fire and forget.
+        """
+        if channel != "reliable":
+            if not (self.dual_channel and channel == "unreliable"):
+                lanes = CHANNELS if self.dual_channel else CHANNELS[:1]
+                raise ProtocolError(
+                    f"unknown channel {channel!r}; expected one of {lanes}"
+                )
+            self.stats.counter("unreliable_sent").increment()
+            yield from self.datagram.send(
+                dst, dst_port, payload, payload_bytes, src_port, trace=trace
+            )
+            return
         self._ensure_ack_port()
         key = (dst, dst_port)
         flow = self._flows.get(key)

@@ -9,6 +9,10 @@ provides the reliable options:
 * :class:`WindowedReliableService` — **go-back-N** sliding window with
   cumulative acknowledgements, for streams of back-to-back messages.
 
+Both keep only their state machines; the port plumbing (ack port,
+``bind``/``unbind``, ``loopback``, delivery) is
+:class:`~repro.protocol.port.ReliablePort`.
+
 On the simulated fabrics loss only happens when frames are dropped by a
 fault injector (:mod:`repro.network.faults`) or exceed the 802.3 collision
 limit, so retransmissions are rare — but the machinery is real and the
@@ -18,12 +22,12 @@ failure-injection tests exercise it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..errors import ProtocolError
 from ..sim.core import Event, Simulator
-from ..sim.monitor import StatSet
 from .packet import Packet
+from .port import ReliablePort
 from .udp import DatagramService, Mailbox
 
 __all__ = [
@@ -33,7 +37,7 @@ __all__ = [
     "GBN_ACK_PORT_OFFSET",
 ]
 
-#: acks for data port P arrive on port P + offset
+#: acks for the stop-and-wait service use this well-known port
 RELIABLE_ACK_PORT_OFFSET = 32768
 
 
@@ -46,14 +50,15 @@ class _Seg:
     user_payload: Any = None
 
 
-class ReliableService:
+class ReliableService(ReliablePort):
     """Reliable in-order delivery over :class:`DatagramService`.
 
     Usage mirrors the datagram service: ``bind`` a port, ``send`` to a
     station/port.  ``send`` completes when the segment is acknowledged.
     """
 
-    ACK_BYTES = 4
+    NAME = "rel"
+    ACK_PORT = RELIABLE_ACK_PORT_OFFSET
 
     def __init__(
         self,
@@ -62,76 +67,12 @@ class ReliableService:
         retransmit_timeout: float = 0.050,
         max_retries: int = 8,
     ):
-        self.sim = sim
-        self.datagram = datagram
-        self.station = datagram.station
+        super().__init__(sim, datagram)
         self.retransmit_timeout = retransmit_timeout
         self.max_retries = max_retries
         self._send_seq: Dict[Tuple[int, int], int] = {}
         self._recv_seq: Dict[Tuple[int, int], int] = {}
         self._ack_events: Dict[Tuple[int, int, int], Event] = {}
-        self._ack_mailbox: Optional[Mailbox] = None
-        self._bound: Dict[int, Mailbox] = {}
-        self.stats = StatSet(f"rel:{self.station}")
-
-    # -- setup --------------------------------------------------------------
-    def _ensure_ack_port(self) -> None:
-        if self._ack_mailbox is None:
-            self._ack_mailbox = self.datagram.bind(RELIABLE_ACK_PORT_OFFSET)
-            self._ack_mailbox.on_arrival = self._on_ack
-
-    def bind(self, port: int) -> Mailbox:
-        """Bind a reliable port; returns the mailbox of *user* packets."""
-        if port >= RELIABLE_ACK_PORT_OFFSET:
-            raise ProtocolError(f"reliable ports must be < {RELIABLE_ACK_PORT_OFFSET}")
-        if port in self._bound:
-            raise ProtocolError(f"reliable port {port} already bound")
-        self._ensure_ack_port()
-        inner = self.datagram.bind(port)
-        outer = Mailbox(self.sim, self.station, port)
-        inner.on_arrival = lambda pkt: self._on_data(pkt, outer)
-        # Drain the inner queue so packets do not accumulate twice.
-        self.sim.process(self._sink(inner), name=f"rel-sink:{self.station}:{port}")
-        self._bound[port] = outer
-        return outer
-
-    def _sink(self, inner: Mailbox) -> Generator[Event, Any, None]:
-        while True:
-            yield inner.get()
-
-    def unbind(self, port: int) -> None:
-        if port not in self._bound:
-            raise ProtocolError(f"reliable port {port} is not bound")
-        del self._bound[port]
-        self.datagram.unbind(port)
-
-    def loopback(
-        self,
-        dst_port: int,
-        payload: Any,
-        payload_bytes: int,
-        src_port: int = 0,
-        trace: Any = None,
-    ) -> Packet:
-        """Local delivery to a reliable port (inherently loss-free, so the
-        ack machinery is bypassed)."""
-        outer = self._bound.get(dst_port)
-        if outer is None:
-            raise ProtocolError(f"reliable port {dst_port} is not bound")
-        packet = Packet(
-            src=self.station,
-            dst=self.station,
-            src_port=src_port,
-            dst_port=dst_port,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            trace=trace,
-        )
-        self.stats.counter("loopback_packets").increment()
-        if outer.on_arrival is not None:
-            outer.on_arrival(packet)
-        outer.queue.put(packet)
-        return packet
 
     # -- receive path ---------------------------------------------------------
     def _on_data(self, packet: Packet, outer: Mailbox) -> None:
@@ -142,7 +83,7 @@ class ReliableService:
             if seg.seq < expected:
                 # Duplicate of already-delivered data (our ack was lost):
                 # re-ack so the sender stops retransmitting.
-                self._send_ack(packet.src, packet.dst_port, seg.seq)
+                self._send_ack(packet.src, _Seg("ack", seg.seq, packet.dst_port))
                 self.stats.counter("duplicates_dropped").increment()
             else:
                 # A segment from the future: an earlier one on this port is
@@ -154,31 +95,8 @@ class ReliableService:
                 self.stats.counter("out_of_order_dropped").increment()
             return
         self._recv_seq[key] = expected + 1
-        self._send_ack(packet.src, packet.dst_port, seg.seq)
-        user_packet = Packet(
-            src=packet.src,
-            dst=packet.dst,
-            src_port=packet.src_port,
-            dst_port=packet.dst_port,
-            payload=seg.user_payload,
-            payload_bytes=packet.payload_bytes,
-            trace=packet.trace,
-        )
-        self.stats.counter("delivered").increment()
-        if outer.on_arrival is not None:
-            outer.on_arrival(user_packet)
-        outer.queue.put(user_packet)
-
-    def _send_ack(self, dst: int, port: int, seq: int) -> None:
-        def do_send() -> Generator[Event, Any, None]:
-            yield from self.datagram.send(
-                dst,
-                RELIABLE_ACK_PORT_OFFSET,
-                _Seg(kind="ack", seq=seq, user_payload=port),
-                self.ACK_BYTES,
-            )
-
-        self.sim.process(do_send(), name=f"rel-ack:{self.station}")
+        self._send_ack(packet.src, _Seg("ack", seg.seq, packet.dst_port))
+        self._deliver_user(packet, seg.user_payload, outer)
 
     def _on_ack(self, packet: Packet) -> None:
         seg: _Seg = packet.payload
@@ -253,7 +171,7 @@ class _GBNStream:
         return self.next_seq - self.base
 
 
-class WindowedReliableService:
+class WindowedReliableService(ReliablePort):
     """Reliable in-order delivery with a go-back-N sliding window.
 
     Where :class:`ReliableService` stalls one round trip per message,
@@ -263,7 +181,8 @@ class WindowedReliableService:
     retransmission on loss.
     """
 
-    ACK_BYTES = 4
+    NAME = "gbn"
+    ACK_PORT = GBN_ACK_PORT_OFFSET
 
     def __init__(
         self,
@@ -275,47 +194,13 @@ class WindowedReliableService:
     ):
         if window < 1:
             raise ProtocolError(f"window must be >= 1, got {window}")
-        self.sim = sim
-        self.datagram = datagram
-        self.station = datagram.station
+        super().__init__(sim, datagram)
         self.window = window
         self.retransmit_timeout = retransmit_timeout
         self.max_retries = max_retries
         self._streams: Dict[Tuple[int, int], _GBNStream] = {}
         self._recv_expected: Dict[Tuple[int, int], int] = {}
-        self._bound: Dict[int, Mailbox] = {}
-        self._ack_mailbox: Optional[Mailbox] = None
         self._retries: Dict[Tuple[int, int], int] = {}
-        self.stats = StatSet(f"gbn:{self.station}")
-
-    # -- setup --------------------------------------------------------------
-    def _ensure_ack_port(self) -> None:
-        if self._ack_mailbox is None:
-            self._ack_mailbox = self.datagram.bind(GBN_ACK_PORT_OFFSET)
-            self._ack_mailbox.on_arrival = self._on_ack
-
-    def bind(self, port: int) -> Mailbox:
-        if port >= RELIABLE_ACK_PORT_OFFSET:
-            raise ProtocolError(f"reliable ports must be < {RELIABLE_ACK_PORT_OFFSET}")
-        if port in self._bound:
-            raise ProtocolError(f"windowed port {port} already bound")
-        self._ensure_ack_port()
-        inner = self.datagram.bind(port)
-        outer = Mailbox(self.sim, self.station, port)
-        inner.on_arrival = lambda pkt: self._on_data(pkt, outer)
-        self.sim.process(self._sink(inner), name=f"gbn-sink:{self.station}:{port}")
-        self._bound[port] = outer
-        return outer
-
-    def unbind(self, port: int) -> None:
-        if port not in self._bound:
-            raise ProtocolError(f"windowed port {port} is not bound")
-        del self._bound[port]
-        self.datagram.unbind(port)
-
-    def _sink(self, inner: Mailbox) -> Generator[Event, Any, None]:
-        while True:
-            yield inner.get()
 
     # -- receive path ---------------------------------------------------------
     def _on_data(self, packet: Packet, outer: Mailbox) -> None:
@@ -325,36 +210,11 @@ class WindowedReliableService:
         if seg.seq == expected:
             self._recv_expected[key] = expected + 1
             expected += 1
-            user_packet = Packet(
-                src=packet.src,
-                dst=packet.dst,
-                src_port=packet.src_port,
-                dst_port=packet.dst_port,
-                payload=seg.user_payload,
-                payload_bytes=packet.payload_bytes,
-                trace=packet.trace,
-            )
-            self.stats.counter("delivered").increment()
-            if outer.on_arrival is not None:
-                outer.on_arrival(user_packet)
-            outer.queue.put(user_packet)
+            self._deliver_user(packet, seg.user_payload, outer)
         else:
             self.stats.counter("out_of_order_dropped").increment()
-        # (the cumulative ack below carries no trace: acks are bookkeeping,
-        # not part of any one message's causal path)
         # Cumulative ack: "next expected" (re-acks repair lost acks).
-        self._send_ack(packet.src, packet.dst_port, expected)
-
-    def _send_ack(self, dst: int, port: int, ackno: int) -> None:
-        def do_send() -> Generator[Event, Any, None]:
-            yield from self.datagram.send(
-                dst,
-                GBN_ACK_PORT_OFFSET,
-                _Seg(kind="ack", seq=ackno, user_payload=port),
-                self.ACK_BYTES,
-            )
-
-        self.sim.process(do_send(), name=f"gbn-ack:{self.station}")
+        self._send_ack(packet.src, _Seg("ack", expected, packet.dst_port))
 
     def _on_ack(self, packet: Packet) -> None:
         seg: _Seg = packet.payload
@@ -454,30 +314,3 @@ class WindowedReliableService:
 
         self.sim.process(retransmit_all(), name=f"gbn-rexmit:{self.station}")
         self._arm_timer(key, stream)
-
-    def loopback(
-        self,
-        dst_port: int,
-        payload: Any,
-        payload_bytes: int,
-        src_port: int = 0,
-        trace: Any = None,
-    ) -> Packet:
-        """Local delivery (loss-free: bypasses the window machinery)."""
-        outer = self._bound.get(dst_port)
-        if outer is None:
-            raise ProtocolError(f"windowed port {dst_port} is not bound")
-        packet = Packet(
-            src=self.station,
-            dst=self.station,
-            src_port=src_port,
-            dst_port=dst_port,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            trace=trace,
-        )
-        self.stats.counter("loopback_packets").increment()
-        if outer.on_arrival is not None:
-            outer.on_arrival(packet)
-        outer.queue.put(packet)
-        return packet

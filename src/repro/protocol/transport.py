@@ -3,7 +3,7 @@
 The re-organised DSE "eliminates dependency on a specific communication
 protocol" — the kernel's message-exchange module talks to this interface,
 and cluster construction decides whether the wire service is the datagram
-service, one of the reliable transports, or the dual-channel stack:
+service or one of the reliable transports:
 
 ==============  ============================================================
 kind            service
@@ -13,8 +13,9 @@ kind            service
 ``reliable-gbn``:class:`~repro.protocol.tcp.WindowedReliableService` — go-back-N
 ``sr``          :class:`~repro.protocol.sr.SelectiveRepeatService` — SR+SACK,
                 AIMD congestion control
-``dual``        :class:`~repro.protocol.channels.DualChannelService` — SR+SACK
-                reliable channel + raw unreliable channel on one NIC
+``dual``        :class:`~repro.protocol.sr.SelectiveRepeatService` with
+                ``dual_channel=True`` — SR+SACK reliable lane + raw
+                unreliable lane (``send(..., channel=...)``) on one port
 ==============  ============================================================
 
 See ``docs/networking.md`` for the state machines and selection guidance.
@@ -27,7 +28,6 @@ from typing import Any, Generator, Protocol, Union
 from ..errors import ConfigurationError
 from ..sim.core import Simulator
 from ..network.nic import NIC
-from .channels import DualChannelService
 from .sr import SelectiveRepeatService
 from .tcp import ReliableService, WindowedReliableService
 from .udp import DatagramService, Mailbox
@@ -56,11 +56,7 @@ class Transport(Protocol):
 def make_transport(
     sim: Simulator, nic: NIC, kind: str = "datagram"
 ) -> Union[
-    DatagramService,
-    ReliableService,
-    WindowedReliableService,
-    SelectiveRepeatService,
-    DualChannelService,
+    DatagramService, ReliableService, WindowedReliableService, SelectiveRepeatService
 ]:
     """Build the requested transport over ``nic``."""
     if kind not in TRANSPORT_KINDS:
@@ -74,6 +70,4 @@ def make_transport(
         return ReliableService(sim, datagram)
     if kind == "reliable-gbn":
         return WindowedReliableService(sim, datagram)
-    if kind == "sr":
-        return SelectiveRepeatService(sim, datagram)
-    return DualChannelService(sim, datagram)
+    return SelectiveRepeatService(sim, datagram, dual_channel=kind == "dual")

@@ -41,6 +41,12 @@ class Mailbox:
         """Event for the next (matching) packet."""
         return self.queue.get(filter)
 
+    def deliver(self, packet: Packet) -> None:
+        """Run the arrival hook, then queue ``packet``."""
+        if self.on_arrival is not None:
+            self.on_arrival(packet)
+        self.queue.put(packet)
+
     def __len__(self) -> int:
         return len(self.queue)
 
@@ -178,6 +184,4 @@ class DatagramService:
             return
         self.stats.counter("packets_received").increment()
         self.stats.counter("bytes_received").increment(packet.payload_bytes)
-        if mailbox.on_arrival is not None:
-            mailbox.on_arrival(packet)
-        mailbox.queue.put(packet)
+        mailbox.deliver(packet)

@@ -338,6 +338,32 @@ def test_reliable_port_range_guard():
         a.bind(40000)
 
 
+@pytest.mark.parametrize("kind", ["reliable", "reliable-gbn", "sr", "dual"])
+def test_reliable_port_contract(kind):
+    """Every reliable kind shares one port layer: the same bind/unbind
+    errors, one user-port limit below all ack ports, and loopback that
+    runs the arrival hook before queueing."""
+    sim = Simulator()
+    _, (a, _b) = make_pair(sim, kind=kind)
+    mbox = a.bind(5)
+    with pytest.raises(ProtocolError):
+        a.bind(5)
+    with pytest.raises(ProtocolError):
+        a.unbind(6)
+    with pytest.raises(ProtocolError):
+        a.bind(32768)  # the stop-and-wait ack port
+    with pytest.raises(ProtocolError):
+        a.loopback(6, "lost", 8)
+    seen = []
+    mbox.on_arrival = lambda pkt: seen.append((pkt.payload, len(mbox)))
+    packet = a.loopback(5, "local", 8, src_port=3)
+    assert seen == [("local", 0)]  # hook ran before the queue grew
+    assert len(mbox) == 1
+    assert mbox.queue.items[0] is packet
+    assert (packet.src, packet.dst, packet.src_port) == (0, 0, 3)
+    assert a.stats.counter("loopback_packets").value == 1
+
+
 def test_make_transport_unknown_kind():
     sim = Simulator()
     bus = EthernetBus(sim, RandomStreams(7))

@@ -21,7 +21,6 @@ from repro.network import (
 )
 from repro.protocol import (
     DatagramService,
-    DualChannelService,
     ReliableService,
     SelectiveRepeatService,
     SRSegment,
@@ -222,8 +221,8 @@ def test_sr_duplicate_data_is_reacked_not_redelivered():
 def make_dual_pair(sim, seed=7):
     lan = SwitchedLAN(sim)
     nic_a, nic_b = NIC(sim, lan, 0), NIC(sim, lan, 1)
-    a = DualChannelService(sim, DatagramService(sim, nic_a))
-    b = DualChannelService(sim, DatagramService(sim, nic_b))
+    a = make_transport(sim, nic_a, "dual")
+    b = make_transport(sim, nic_b, "dual")
     return a, b, nic_a, nic_b
 
 
@@ -319,8 +318,18 @@ def test_make_transport_sr_and_dual():
     lan = SwitchedLAN(sim)
     nic = NIC(sim, lan, 0)
     assert isinstance(make_transport(sim, nic, "sr"), SelectiveRepeatService)
-    assert isinstance(make_transport(sim, nic, "dual"), DualChannelService)
-    assert getattr(make_transport(sim, NIC(sim, lan, 1), "dual"), "dual_channel")
+    assert not make_transport(sim, NIC(sim, lan, 1), "sr").dual_channel
+    dual = make_transport(sim, NIC(sim, lan, 2), "dual")
+    assert isinstance(dual, SelectiveRepeatService)
+    assert dual.dual_channel
+
+
+def test_single_channel_sr_has_no_raw_lane():
+    sim = Simulator()
+    lan = SwitchedLAN(sim)
+    sr = make_transport(sim, NIC(sim, lan, 0), "sr")
+    with pytest.raises(ProtocolError, match="unknown channel"):
+        next(sr.send(1, 4, "x", 8, channel="unreliable"))
 
 
 # -- legacy stop-and-wait re-ack path ---------------------------------------
