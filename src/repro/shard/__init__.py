@@ -10,8 +10,8 @@ for every N — see ``docs/sharding.md``.
 * :mod:`~repro.shard.engine` — the one lookahead-windowed driver and the
   in-process shard endpoint
 * :mod:`~repro.shard.cluster` — the :class:`ShardedCluster` wiring
-* :mod:`~repro.shard.procpool` — one OS worker process per shard, behind
-  a pipe endpoint
+* :mod:`~repro.shard.procpool` — the driver simulates shard 0 and one OS
+  worker process per other shard serves a pipe endpoint
 """
 
 from .cluster import ShardedCluster, merge_partial_stats, plan_for_config

@@ -3,10 +3,13 @@
 Classic conservative parallel DES, specialised to the switched fabric's
 constant lookahead ``L`` (one minimum-frame serialisation time):
 
-1. **Route**: move every shard's emitted records to the destination
-   shard's pending list (deterministic shard-major order).
-2. **Window**: ``W`` = the earliest of every shard's next event and every
-   pending record's effect time; every shard then admits its records
+1. **Route**: move every shard's cross-shard records to the destination
+   shard's pending list (deterministic shard-major order).  A record for a
+   station on its own shard never leaves that shard: the card keeps it in
+   its inbox, and the shard reports its effect time with its next event.
+2. **Window**: ``W`` = the earliest of every shard's next event (kept
+   records included) and every routed record's effect time; every shard
+   then admits its records
    (arming their flush events in canonical sorted order, see
    :mod:`repro.shard.fabric`) and processes events strictly before the
    horizon ``H = W + L``.  No shard can receive a cross-shard effect
@@ -21,6 +24,9 @@ constant lookahead ``L`` (one minimum-frame serialisation time):
 exactly the minimum over the admitted heaps: a card arms each flush at the
 record's absolute effect time (:meth:`~repro.sim.core.Simulator.timeout_at`),
 so admission adds heap entries at precisely those times and no others.
+Whether a record waited in its own card's inbox or crossed a boundary, it
+is admitted at the same boundary in the same sorted order, so ``W``, the
+horizon and every arm sequence are those of a run that routed every record.
 
 **Analytic idle fast-forward** falls out of step 2: when the cluster goes
 quiescent (a long computation phase, a drained network), ``W`` jumps
@@ -36,10 +42,12 @@ this way.
 through an *endpoint* with two requests, ``window(horizon, records)`` and
 ``finalize(end)``, each answered by ``wait()``.  :class:`LocalShard` is the
 in-process endpoint (``shard_workers="inline"``); the process backend
-(:mod:`repro.shard.procpool`) proxies the same requests over a pipe to a
-worker that serves them with its own :class:`LocalShard`.  Every request
-is issued to all shards before any reply is awaited, so proxied shards
-run their windows concurrently.
+(:mod:`repro.shard.procpool`) runs shard 0 on a :class:`LocalShard` in the
+driver's own process and proxies the other shards' requests over pipes to
+workers that serve them with their own :class:`LocalShard`.  Every request
+is issued to all proxied shards before any in-process window runs, and
+before any reply is awaited, so the driver's shard and the workers run
+their windows concurrently.
 """
 
 from __future__ import annotations
@@ -53,8 +61,9 @@ __all__ = ["LocalShard", "ShardEngine"]
 
 _INF = float("inf")
 
-#: one shard's reply to a window: (emitted records, next-event time, clock)
-WindowReply = Tuple[List[Handoff], float, float]
+#: one shard's reply to a window: (cross-shard records, records kept
+#: locally, next-event time, clock)
+WindowReply = Tuple[List[Handoff], int, float, float]
 
 
 class LocalShard:
@@ -70,10 +79,11 @@ class LocalShard:
         self.sim = card.sim
 
     def window(self, horizon: float, records: List[Handoff]) -> None:
-        """Admit routed records, then run every event before ``horizon``."""
-        if records:
-            self.card.inbox.extend(records)
-            self.card.admit_pending()
+        """Admit kept and routed records, then run every event before
+        ``horizon``."""
+        card = self.card
+        card.inbox.extend(records)
+        card.admit_pending()
         self.sim.run_window(horizon)
 
     def finalize(self, end: float) -> None:
@@ -82,10 +92,20 @@ class LocalShard:
             self.sim.advance_to(end)
 
     def wait(self) -> WindowReply:
-        """Drain the outbox and report ``(records, next event, clock)``."""
+        """Drain the outbox and report ``(records, kept, next event, clock)``.
+
+        The next event is the earlier of the heap's head and the effect
+        time of any record kept in the inbox, which is armed only at the
+        next window boundary.
+        """
         card = self.card
         out, card.outbox = card.outbox, []
-        return out, self.sim.peek(), self.sim.now
+        kept, card.kept = card.kept, 0
+        peek = self.sim.peek()
+        for record in card.inbox:
+            if record[0] < peek:
+                peek = record[0]
+        return out, kept, peek, self.sim.now
 
 
 class ShardEngine:
@@ -98,6 +118,12 @@ class ShardEngine:
         lookahead: float,
     ) -> None:
         self.endpoints = list(endpoints)
+        #: request order: proxied endpoints first, so their windows are
+        #: under way before an in-process window occupies this process
+        self._issue_order = sorted(
+            range(len(self.endpoints)),
+            key=lambda i: isinstance(self.endpoints[i], LocalShard),
+        )
         self.station_shard = station_shard
         self.lookahead = lookahead
         #: wall-side diagnostics (N-invariant by construction, but kept out
@@ -131,28 +157,26 @@ class ShardEngine:
         last_horizon = None
         for _ in range(max_windows):
             window_start = _INF
-            for shard, (out, peek, _now) in enumerate(replies):
+            for out, kept, peek, _now in replies:
                 if peek < window_start:
                     window_start = peek
                 for record in out:
-                    dest = station_shard[record[4]]
-                    if dest != shard:
-                        stats["crossings"] += 1
-                    pending[dest].append(record)
-                stats["handoffs"] += len(out)
+                    pending[station_shard[record[4]]].append(record)
+                stats["crossings"] += len(out)
+                stats["handoffs"] += len(out) + kept
             for records in pending:
                 for record in records:
                     if record[0] < window_start:
                         window_start = record[0]
             if window_start == _INF:
-                return self._finalize(max(reply[2] for reply in replies))
+                return self._finalize(max(reply[3] for reply in replies))
             if last_horizon is not None and window_start > last_horizon:
                 stats["ff_jumps"] += 1
                 stats["ff_time_skipped"] += window_start - last_horizon
             horizon = window_start + lookahead
             stats["windows"] += 1
-            for ep, records in zip(endpoints, pending):
-                ep.window(horizon, records)
+            for i in self._issue_order:
+                endpoints[i].window(horizon, pending[i])
             pending = [[] for _ in endpoints]
             replies = [ep.wait() for ep in endpoints]
             last_horizon = horizon
@@ -167,6 +191,6 @@ class ShardEngine:
         snapshot time; without alignment each shard would stop at its own
         last event and per-shard statistics would depend on the shard map.
         """
-        for ep in self.endpoints:
-            ep.finalize(end)
+        for i in self._issue_order:
+            self.endpoints[i].finalize(end)
         return [ep.wait() for ep in self.endpoints]

@@ -35,21 +35,25 @@ pair regardless of sharding, so even ``events_processed`` is N-invariant.
 **Window-boundary arming.**  Determinism across shard counts is stronger
 than canonical values: each simulator's *tie-break sequence stream* must be
 N-invariant, because same-timestamp events are ordered by arm sequence.  So
-a touch record is never armed mid-window by whoever happened to create it —
-*every* record (local or remote alike) goes to the card's outbox, the
-engine routes outboxes at the window boundary, and :meth:`admit_pending`
-arms flush events in one canonical sorted order.  The lookahead guarantee
-makes the deferral safe: an effect time always lies at or beyond the
-horizon of its emission window, so no record can be needed before the next
-boundary.  Each flush is armed at the record's absolute effect time
-(:meth:`~repro.sim.core.Simulator.timeout_at`), never relative to the
-arming card's clock, so the engine can compute the next window start from
-the records alone, before they are admitted.
+a touch record is never armed mid-window by whoever happened to create it. A
+record for a station on the card's own shard waits in the card's inbox; a
+cross-shard record goes to the outbox, and the engine routes outboxes to
+their destination inboxes at the window boundary. :meth:`admit_pending` then
+arms every inbox record, local and routed alike, in one canonical sorted
+order, so the arm order does not depend on which records had to cross a
+shard boundary. The lookahead guarantee makes the deferral safe: an effect
+time always lies at or beyond the horizon of its emission window, so no
+record can be needed before the next boundary. Each flush is armed at the
+record's absolute effect time
+(:meth:`~repro.sim.core.Simulator.timeout_at`), never relative to the arming
+card's clock, so the engine can compute the next window start from the
+records alone, before they are admitted.
 
 **No shared mutable state.**  A handoff record is a plain picklable tuple
 ``(effect_time, src_station, src_seq, ready, target, frame)``; the engine
-moves records between cards' outboxes and inboxes in deterministic shard
-order, and the process backend ships the identical tuples over pipes.
+moves cross-shard records between cards' outboxes and inboxes in
+deterministic shard order, and the process backend ships the identical
+tuples over pipes.
 """
 
 from __future__ import annotations
@@ -118,12 +122,15 @@ class ShardSwitchCard(SwitchPorts):
         #: monotone per-card sequence over local sends; per-station order is
         #: preserved under any partition, which is all the canonical sort needs
         self._send_seq = 0
-        #: every emitted record (local targets included), drained and routed
-        #: by the engine at the window boundary
+        #: emitted records for other shards' stations, drained and routed by
+        #: the engine at the window boundary
         self.outbox: List[Handoff] = []
-        #: records routed here for this shard's targets, armed by
-        #: :meth:`admit_pending` at the window boundary
+        #: records for this shard's stations (kept here or routed here),
+        #: armed by :meth:`admit_pending` at the window boundary
         self.inbox: List[Handoff] = []
+        #: records kept in the inbox since the engine last drained the
+        #: outbox (they count as handoffs, not crossings)
+        self.kept = 0
         #: pending downlink touches: (target, effect_time) -> records
         self._touch_buf: Dict[Tuple[int, float], List[Handoff]] = {}
 
@@ -140,7 +147,8 @@ class ShardSwitchCard(SwitchPorts):
 
     def send(self, frame: EthernetFrame) -> Generator[Event, Any, str]:
         """Serialise onto the local uplink; emit downlink touches for every
-        destination port, local or remote, at transmission start."""
+        destination port at transmission start: to the inbox for this
+        shard's stations, to the outbox for the others."""
         if frame.src not in self._stations:
             raise NetworkError(
                 f"source station {frame.src} is not attached to {self.name}"
@@ -163,11 +171,17 @@ class ShardSwitchCard(SwitchPorts):
         targets = (
             range(n_stations) if frame.dst == BROADCAST else (frame.dst,)
         )
-        outbox = self.outbox
+        station_shard = self.station_shard
+        shard = self.shard
         for target in targets:
             if target == frame.src:
                 continue
-            outbox.append((done, frame.src, seq, ready, target, frame))
+            record = (done, frame.src, seq, ready, target, frame)
+            if station_shard[target] == shard:
+                self.inbox.append(record)
+                self.kept += 1
+            else:
+                self.outbox.append(record)
         yield sim.timeout(done - now)
         self.stats.counter("frames_sent").increment()
         self.stats.counter("bytes_sent").increment(frame.wire_bytes)
@@ -175,7 +189,7 @@ class ShardSwitchCard(SwitchPorts):
 
     # -- canonical downlink sequencing ------------------------------------
     def admit_pending(self) -> None:
-        """Arm every routed record's flush (engine: at window boundaries).
+        """Arm every inbox record's flush (engine: at window boundaries).
 
         Records arrive with effect times at or beyond the next window's
         horizon (the lookahead guarantee), so boundary arming is never late.

@@ -1,28 +1,35 @@
-"""The multiprocess shard backend: one OS worker process per shard.
+"""The multiprocess shard backend: the driver simulates shard 0, one OS
+worker process simulates each other shard.
 
-Each worker deterministically rebuilds the *whole* cluster from the config
-(cheap relative to running it, and it makes every worker's world view
-identical by construction), then serves window requests for its own shard
+The parent forks its ``k - 1`` workers before it builds anything.  Each
+side then deterministically builds the *whole* cluster from the config
+(cheap relative to running it, and it makes every process's world view
+identical by construction) and serves window requests for its own shard
 with that cluster's in-process endpoint
-(:class:`repro.shard.engine.LocalShard`).  The parent simulates nothing:
-it runs the one window driver, :class:`repro.shard.engine.ShardEngine`,
-over :class:`PipeShard` proxies —
+(:class:`repro.shard.engine.LocalShard`).  The parent runs the one window
+driver, :class:`repro.shard.engine.ShardEngine`, over its own shard-0
+endpoint and one :class:`PipeShard` proxy per worker —
 
-    round:   workers report (outbox records, next-event time, clock)
+    round:   every shard reports (cross-shard records, records kept
+             locally, next-event time, clock)
     parent:  the driver routes records, takes the window start ``W``
              from the reported next-event times and the routed records'
              effect times — exact without the records being admitted yet,
              because a card arms each flush at its record's absolute
-             effect time — and sends each worker
-             ("window", W + lookahead, records)
+             effect time — sends each worker
+             ("window", W + lookahead, records), then runs shard 0's
+             window itself while the workers run theirs
     worker:  admits the records, runs its loop to the horizon, replies
 
-— so a worker executes the byte-identical per-window event schedule the
-inline backend would, and ``shard_workers`` flips parallelism on and off
-without touching a single simulated value.  Final statistics are merged
-from per-shard additive slices (:func:`repro.shard.cluster.merge_partial_stats`);
-the run outcome (per-rank returns, elapsed) comes from the worker owning
-kernel 0, where the master driver ran.
+— one pipe round trip per worker per window, and every shard executes the
+byte-identical per-window event schedule the inline backend would, so
+``shard_workers`` flips parallelism on and off without touching a single
+simulated value.  Final statistics are merged from per-shard additive
+slices (:func:`repro.shard.cluster.merge_partial_stats`): the parent's own
+shard-0 slice and one from each worker.  The run outcome (per-rank
+returns, elapsed) comes from whichever side owns kernel 0, where the
+master driver ran: the parent, unless an explicit ``shard_map`` moves
+machine 0 to a worker's shard.
 
 Only SPMD entry points are supported: the worker callable and its args
 ship to worker processes, and master closures over live parent state do
@@ -57,7 +64,8 @@ def _shard_worker(
 
     Every request is answered with ``("ok", reply)``: the endpoint's own
     reply after a window, and after finalize this shard's statistics
-    slice, event count and (on kernel 0's shard) the run outcome.
+    slice, event count and run outcome (empty unless this shard owns
+    kernel 0).
     """
     try:
         from ..dse.runtime import launch_parallel
@@ -75,11 +83,10 @@ def _shard_worker(
             if op != "finalize":
                 raise DSEError(f"unknown shard-protocol op {op!r}")
             endpoint.finalize(*params)
-            owns_master = shard == cluster.plan.machine_shard[config.machine_of(0)]
             final = (
                 cluster.partial_stats(shard),
                 cluster.sims[shard].events_processed,
-                launched._outcome if owns_master else None,
+                launched._outcome,
             )
             conn.send(("ok", final))
             return
@@ -121,8 +128,12 @@ class PipeShard:
             raise DSEError(f"shard worker {self.shard} failed:\n{reply}")
         return reply
 
-    def close(self) -> None:
+    def close(self, abort: bool = False) -> None:
+        """Join the worker; ``abort`` stops it first (a failed run leaves
+        workers mid-window or blocked on a request that never comes)."""
         self.conn.close()
+        if abort:
+            self.proc.terminate()
         self.proc.join(timeout=5)
         if self.proc.is_alive():
             self.proc.terminate()
@@ -135,33 +146,44 @@ def run_parallel_process(
     args: tuple = (),
     args_of: Optional[Callable[[int], tuple]] = None,
 ):
-    """SPMD run with one OS process per shard; same results as inline."""
-    from ..dse.runtime import RunResult
+    """SPMD run with shard 0 in this process and one OS worker process per
+    other shard; same results as inline."""
+    from ..dse.runtime import RunResult, launch_parallel
 
     plan = plan_for_config(config)
-    # Workers must not recurse into this backend when they rebuild.
-    worker_args = (replace(config, shard_workers="inline"), worker, args, args_of)
+    # Neither side may recurse into this backend when it builds.
+    inline = replace(config, shard_workers="inline")
+    worker_args = (inline, worker, args, args_of)
     ctx = multiprocessing.get_context()
-    shards: List[PipeShard] = []
+    remotes: List[PipeShard] = []
+    finished = False
     try:
-        for s in range(plan.n_shards):
-            shards.append(PipeShard(ctx, s, worker_args))
+        # Fork before building, so no worker inherits the parent's cluster.
+        for s in range(1, plan.n_shards):
+            remotes.append(PipeShard(ctx, s, worker_args))
+        launched = launch_parallel(inline, worker, args, args_of)
+        cluster = launched.cluster
         engine = ShardEngine(
-            shards, plan.machine_shard, min_frame_time(config.fabric.rate_bps)
+            [cluster.engine.endpoints[0], *remotes],
+            plan.machine_shard,
+            min_frame_time(config.fabric.rate_bps),
         )
         finals = engine.run_all()
+        finished = True
     finally:
-        for shard in shards:
-            shard.close()
-    partials, events, outcomes = zip(*finals)
-    outcome = next((o for o in outcomes if o is not None), None)
-    if outcome is None or "returns" not in outcome:
+        for shard in remotes:
+            shard.close(abort=not finished)
+    owner = plan.machine_shard[config.machine_of(0)]
+    outcome = launched._outcome if owner == 0 else finals[owner][2]
+    if "returns" not in outcome:
         raise DSEError("master did not complete (deadlock or early drain)")
+    partials = [cluster.partial_stats(0)] + [final[0] for final in finals[1:]]
+    events = cluster.sims[0].events_processed + sum(final[1] for final in finals[1:])
     return RunResult(
         elapsed=outcome["elapsed"],
         returns=outcome["returns"][0],  # SPMD: rank -> value dict
         stats=merge_partial_stats(partials),
-        sim_events=sum(events),
+        sim_events=events,
         config=config,
         cluster=None,
     )

@@ -44,13 +44,15 @@ __all__ = ["Clone", "PSServer", "VirtualCluster"]
 class Clone:
     """One copy of a request resident on one server."""
 
-    __slots__ = ("request", "size", "server", "vfinish", "alive")
+    __slots__ = ("request", "size", "server", "vfinish", "seq", "alive")
 
     def __init__(self, request: Any, size: float):
         self.request = request
         self.size = size
         self.server: Optional["PSServer"] = None
         self.vfinish = 0.0
+        #: admission sequence number on the current server (its key there)
+        self.seq = 0
         #: False once completed, cancelled, or lost to a crash
         self.alive = True
 
@@ -69,7 +71,7 @@ class PSServer:
         self.sim = sim
         self.server_id = server_id
         self.rate = rate
-        #: live clones resident on this server
+        #: live clones resident on this server, by admission seq
         self.jobs: Dict[int, Clone] = {}
         #: min-heap of [vfinish, seq, clone] with lazy deletion
         self._heap: List[list] = []
@@ -110,9 +112,10 @@ class PSServer:
         self._advance(now)
         clone.server = self
         clone.vfinish = self._vtime + clone.size
-        self.jobs[id(clone)] = clone
         sim = self.sim
         sim._seq = seq = sim._seq + 1
+        clone.seq = seq
+        self.jobs[seq] = clone
         heappush(self._heap, [clone.vfinish, seq, clone])
         self._rearm()
 
@@ -123,7 +126,7 @@ class PSServer:
         self._advance(now)
         clone.alive = False
         clone.server = None
-        del self.jobs[id(clone)]
+        del self.jobs[clone.seq]
         self._rearm()
 
     # -- departures ------------------------------------------------------
@@ -155,7 +158,7 @@ class PSServer:
         clone = heappop(heap)[2]
         clone.alive = False
         clone.server = None
-        del self.jobs[id(clone)]
+        del self.jobs[clone.seq]
         self.completed += 1
         self._rearm()
         # Callback last: it may cancel sibling clones on other servers.
@@ -164,13 +167,14 @@ class PSServer:
 
     # -- failures --------------------------------------------------------
     def crash(self, now: float) -> List[Clone]:
-        """Take the server down; returns the clones lost with it."""
+        """Take the server down; returns the clones lost with it, in
+        admission order."""
         self._advance(now)
         self.up = False
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        lost = [self.jobs[key] for key in sorted(self.jobs)]
+        lost = list(self.jobs.values())  # keyed and inserted by admission seq
         for clone in lost:
             clone.alive = False
             clone.server = None

@@ -11,6 +11,7 @@ event stream.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -24,6 +25,7 @@ from repro.experiments.parallel import cache_key
 from repro.network.frame import EthernetFrame
 from repro.network.topology import FabricConfig
 from repro.shard import (
+    LocalShard,
     ShardEngine,
     ShardPlan,
     ShardSwitchCard,
@@ -142,6 +144,83 @@ def test_process_backend_matches_inline():
     )
 
 
+def test_process_backend_with_the_master_on_a_worker():
+    # Machine 0 (kernel 0, where the master runs) on shard 1: the parent
+    # simulates shard 0 while a worker owns the run outcome.
+    runs = {
+        workers: run_parallel(
+            _config(
+                2, kernels=4, machines=4, shard_map=(1, 1, 0, 0),
+                shard_workers=workers,
+            ),
+            gauss_seidel_worker,
+            args=(12, 2),
+        )
+        for workers in ("inline", "process")
+    }
+    inline, process = runs["inline"], runs["process"]
+    assert process.elapsed == inline.elapsed
+    assert repr(sorted(process.returns.items())) == repr(
+        sorted(inline.returns.items())
+    )
+    assert process.sim_events == inline.sim_events
+    assert json.dumps(process.stats, sort_keys=True) == json.dumps(
+        inline.stats, sort_keys=True
+    )
+
+
+def _fail_on_rank_0(api, n, iterations):
+    if api.rank == 0:
+        raise RuntimeError("rank 0 failed on the driver's shard")
+    return (yield from gauss_seidel_worker(api, n, iterations))
+
+
+@pytest.fixture
+def started_processes(monkeypatch):
+    """Names of the processes started while the test runs."""
+    names = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording_start(process):
+        names.append(process.name)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
+    return names
+
+
+def _live_shard_workers():
+    return [
+        p for p in multiprocessing.active_children()
+        if p.name.startswith("repro-shard-")
+    ]
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_process_backend_starts_a_worker_per_other_shard(started_processes, shards):
+    # The driver simulates shard 0 itself.
+    run_parallel(
+        _config(shards, kernels=4, machines=4, shard_workers="process"),
+        gauss_seidel_worker,
+        args=(12, 2),
+    )
+    assert started_processes == [f"repro-shard-{s}" for s in range(1, shards)]
+    assert _live_shard_workers() == []
+
+
+def test_process_backend_joins_workers_when_the_driver_shard_fails(
+    started_processes,
+):
+    with pytest.raises(RuntimeError, match="rank 0 failed"):
+        run_parallel(
+            _config(3, kernels=4, machines=4, shard_workers="process"),
+            _fail_on_rank_0,
+            args=(12, 2),
+        )
+    assert started_processes == ["repro-shard-1", "repro-shard-2"]
+    assert _live_shard_workers() == []
+
+
 def test_snapshot_keys_and_types_identical_at_shards_0_1_2():
     snaps = [
         run_parallel(
@@ -180,6 +259,40 @@ def test_fast_forward_skips_quiescent_spans():
     assert stats["crossings"] > 0  # the partition actually cut traffic
     assert stats["ff_jumps"] > 0  # idle spans were jumped analytically
     assert stats["ff_time_skipped"] > 0.0
+
+
+#: ``ShardEngine.stats`` of gauss-seidel (12, 2) on 4 machines, recorded
+#: when every record, same-shard ones included, was routed by the driver
+_GS_WINDOW_SCHEDULE = {"windows": 235, "handoffs": 117, "ff_jumps": 234}
+_GS_CROSSINGS = {1: 0, 2: 78, 4: 117}
+
+
+class _OutboxCheckedShard(LocalShard):
+    """A local endpoint that fails if its outbox held a same-shard record."""
+
+    def wait(self):
+        reply = super().wait()
+        card = self.card
+        assert all(card.station_shard[r[4]] != card.shard for r in reply[0])
+        return reply
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_same_shard_records_leave_the_window_schedule_unchanged(shards):
+    launched = launch_parallel(
+        _config(shards, kernels=4, machines=4), gauss_seidel_worker, args=(12, 2)
+    )
+    cluster = launched.cluster
+    cards = cluster.network.cards
+    cluster.engine = ShardEngine(
+        [_OutboxCheckedShard(card) for card in cards],
+        cards[0].station_shard,
+        cards[0].lookahead,
+    )
+    launched.finish()
+    stats = cluster.engine.stats
+    assert {key: stats[key] for key in _GS_WINDOW_SCHEDULE} == _GS_WINDOW_SCHEDULE
+    assert stats["crossings"] == _GS_CROSSINGS[shards]
 
 
 # -- the lookahead bound at its exact boundary --------------------------------

@@ -17,6 +17,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.resilience.campaign import CrashPlan
+from repro.sim.core import Simulator
 from repro.sim.statreg import COUNTERS, TALLIES
 from repro.ssi import ServiceDirectory
 from repro.traffic.analytic import (
@@ -44,6 +45,7 @@ from repro.traffic.engine import (
     run_traffic,
 )
 from repro.traffic.policies import make_policy
+from repro.traffic.service import Clone, PSServer
 from repro.traffic.slo import SUBDIV, LatencyHistogram
 from repro.traffic.tenants import QuotaConfig, TenantSpec, TokenBucket
 
@@ -371,6 +373,23 @@ def test_crash_reassigns_and_every_request_completes():
     assert engine._outstanding == 0
     for server in engine.cluster.servers:
         assert server.jobs == {}
+
+
+def test_crash_returns_lost_clones_in_admission_order():
+    # Reassignment draws placements in the order crash() returns clones,
+    # so that order must not depend on where the clones were allocated.
+    sim = Simulator()
+    server = PSServer(sim, 0)
+    clones = [Clone(request=i, size=1.0) for i in range(16)]
+    admitted = list(clones)
+    random.Random(5).shuffle(admitted)
+    if admitted == sorted(clones, key=id):
+        admitted.reverse()
+    for clone in admitted:
+        server.admit(clone, sim.now)
+    lost = server.crash(sim.now)
+    assert [clone.request for clone in lost] == [clone.request for clone in admitted]
+    assert not any(clone.alive for clone in lost)
 
 
 # -- observability ------------------------------------------------------------
