@@ -6,7 +6,8 @@ Three library features beyond the paper's four applications:
 * ``farm`` / ``farm_dynamic`` — PVM-style parallel map over the kernels;
 * ``remote_run`` — run a task wherever the SSI layer decides (least-loaded
   node), result returned transparently;
-* message tracing — an ASCII per-kernel activity timeline of the run.
+* message tracing — an ASCII per-kernel activity timeline of the run,
+  read from the obs trace (``obs_trace=True``).
 
 Run:  python examples/task_farming.py
 """
@@ -26,7 +27,7 @@ def simulate_option_price(api, strike):
 
 def main():
     config = ClusterConfig(
-        platform=get_platform("aix"), n_processors=5, n_machines=5, trace=True
+        platform=get_platform("aix"), n_processors=5, n_machines=5, obs_trace=True
     )
     cluster = Cluster(config)
     out = {}
@@ -55,9 +56,9 @@ def main():
     print(f"20 farmed tasks + 1 remote task in {fmt_time(out['elapsed'])} "
           f"(vs {fmt_time(21 * 0.004)} sequential)\n")
     print("sample results:", dict(list(out["prices"].items())[:4]), "…\n")
-    print(render_timeline(cluster.tracer, width=60))
+    print(render_timeline(cluster.obs, width=60))
     print()
-    print(message_census(cluster.tracer))
+    print(message_census(cluster.obs))
 
 
 if __name__ == "__main__":

@@ -51,9 +51,8 @@ class ClusterConfig:
     #: fewer, larger messages hit the wire (see docs/scaling.md).
     gmem_batching: bool = False
     seed: int = 1999
-    #: record per-message trace events (see repro.experiments.timeline)
-    trace: bool = False
-    #: record causal spans across all layers (see repro.obs); adds no
+    #: record causal spans across all layers (see repro.obs), including the
+    #: ``msg.*`` instants repro.experiments.timeline renders; adds no
     #: simulation events, so virtual-time results are unchanged
     obs_trace: bool = False
     #: sampling period (simulated seconds) for the metrics time-series;
@@ -90,13 +89,14 @@ class ClusterConfig:
     #: produces byte-identical results for every N.  Requires the switched
     #: fabric (the shared bus has zero lookahead — every station preempts
     #: every other within one bit time) and is incompatible with the
-    #: observation/sanitizer/resilience/replay layers, which assume one
-    #: global event stream.
+    #: obs/sanitizer/resilience/replay layers, which assume one global
+    #: event stream.
     shards: int = 0
     #: sharded execution backend: ``"inline"`` drives every shard in one OS
     #: process (the determinism reference, zero parallelism), ``"process"``
-    #: runs one OS worker process per shard (the speedup path; identical
-    #: simulated results by construction)
+    #: simulates shard 0 in the driving process and forks ``shards - 1``
+    #: workers for the rest (the speedup path; identical simulated results
+    #: by construction)
     shard_workers: str = "inline"
     #: explicit machine -> shard assignment (length ``machines_used``,
     #: values ``0..shards-1``); ``None`` lets the topology-aware
@@ -195,7 +195,6 @@ class ClusterConfig:
                     f"(configured: {self.fabric.kind!r})"
                 )
             for feature, on in (
-                ("trace", self.trace),
                 ("obs_trace", self.obs_trace),
                 ("obs_metrics_interval", self.obs_metrics_interval > 0),
                 ("sanitize", bool(self.sanitize_modes)),

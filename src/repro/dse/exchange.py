@@ -222,12 +222,8 @@ class MessageExchange:
             # Any traffic towards the monitor doubles as a heartbeat.
             self.last_sent_to_monitor = self.sim.now
         self.stats.counter("bytes_out").increment(msg.size_bytes)
-        self.kernel.cluster.tracer.emit(
-            self.sim.now,
-            f"k{self.kernel.kernel_id}",
-            "send",
-            (msg.msg_type.value, msg.dst_kernel, msg.size_bytes),
-        )
+        if self.obs.enabled:
+            self._mark("msg.send", msg, msg.dst_kernel)
         channel = channel_of(msg.msg_type) if self._dual else None
         yield from self.socket.sendto(
             station, port, msg, msg.size_bytes, trace=msg.trace, channel=channel
@@ -280,13 +276,24 @@ class MessageExchange:
         msg = packet.payload
         if self._on_message is not None:
             self._on_message(msg.src_kernel)
-        self.kernel.cluster.tracer.emit(
-            self.sim.now,
-            f"k{self.kernel.kernel_id}",
-            "recv",
-            (msg.msg_type.value, msg.src_kernel, msg.size_bytes),
-        )
+        if self.obs.enabled:
+            self._mark("msg.recv", msg, msg.src_kernel)
         return msg
+
+    def _mark(self, name: str, msg: DSEMessage, peer: int) -> None:
+        """One ``msg.send``/``msg.recv`` instant on this kernel's lane, read
+        by :mod:`repro.experiments.timeline`; a message without a trace
+        context (process start, shutdown) gets a root of its own."""
+        span = self.obs.instant(
+            self.sim.now, name, "dse", self.kernel.obs_pid, self.kernel.obs_tid,
+            msg.trace,
+        )
+        span.args = {
+            "type": msg.msg_type.value,
+            "peer": peer,
+            "bytes": msg.size_bytes,
+            "kernel": self.kernel.kernel_id,
+        }
 
     def close(self) -> None:
         self.socket.close()

@@ -352,8 +352,9 @@ def scale_main(argv: List[str]) -> int:
     )
     parser.add_argument(
         "--shard-workers", choices=("inline", "process"), default="process",
-        help="sharded backend: one OS process per shard (process, default) "
-             "or everything in-process (inline, the determinism reference)",
+        help="sharded backend: this process simulates shard 0 and forks "
+             "one worker per other shard (process, default), or everything "
+             "in-process (inline, the determinism reference)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",

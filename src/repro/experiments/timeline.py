@@ -1,48 +1,54 @@
 """ASCII timelines from message traces.
 
-When a cluster is built with ``ClusterConfig(trace=True)``, every kernel's
-message exchange records send/receive events.  This module renders that
-trace as a per-kernel activity heat-map over simulated time — the quickest
-way to *see* a hotspot (one dark lane = one overloaded home node) or a
-convoy (vertical bands = barrier waves).
+When a cluster is built with ``ClusterConfig(obs_trace=True)``, every
+kernel's message exchange records ``msg.send``/``msg.recv`` instants (see
+:mod:`repro.obs`).  This module renders them as a per-kernel activity
+heat-map over simulated time — the quickest way to *see* a hotspot (one
+dark lane = one overloaded home node) or a convoy (vertical bands = barrier
+waves).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..sim.monitor import TraceRecord, Tracer
+from ..obs import Span, SpanRecorder
 from ..util.tables import Table
 
 __all__ = ["render_timeline", "message_census", "event_log", "span_census"]
 
 _SHADES = " .:-=+*#%@"
 
-_EMPTY_TRACE = "no events captured (was trace=True set?)"
+_EMPTY_TRACE = "no events captured (was obs_trace=True set?)"
 
 
-def render_timeline(
-    tracer: Tracer,
-    width: int = 64,
-    kind: Optional[str] = None,
-) -> str:
-    """Per-source heat-map: one lane per kernel, darkness = message rate."""
-    records = tracer.filter(kind=kind)
-    if not records:
+def _messages(recorder: SpanRecorder) -> List[Span]:
+    """The ``msg.send``/``msg.recv`` instants, in recording order."""
+    return [s for s in recorder.spans if s.name in ("msg.send", "msg.recv")]
+
+
+def _lane(mark: Span) -> str:
+    return f"k{mark.args['kernel']}"
+
+
+def render_timeline(recorder: SpanRecorder, width: int = 64) -> str:
+    """Per-kernel heat-map: one lane per kernel, darkness = message rate."""
+    marks = _messages(recorder)
+    if not marks:
         return _EMPTY_TRACE
-    t0 = records[0].time
-    t1 = max(r.time for r in records)
+    t0 = marks[0].start
+    t1 = max(m.start for m in marks)
     span = max(t1 - t0, 1e-12)
     lanes: Dict[str, List[int]] = defaultdict(lambda: [0] * width)
-    for record in records:
-        bucket = min(int((record.time - t0) / span * width), width - 1)
-        lanes[record.source][bucket] += 1
+    for mark in marks:
+        bucket = min(int((mark.start - t0) / span * width), width - 1)
+        lanes[_lane(mark)][bucket] += 1
     peak = max(max(lane) for lane in lanes.values())
-    dropped = f", {tracer.dropped} dropped past limit" if tracer.dropped else ""
+    dropped = f", {recorder.dropped} dropped past limit" if recorder.dropped else ""
     lines = [
         f"timeline {t0:.4g}s .. {t1:.4g}s "
-        f"({len(records)} events, peak {peak}/cell{dropped})"
+        f"({len(marks)} events, peak {peak}/cell{dropped})"
     ]
     for source in sorted(lanes):
         cells = "".join(
@@ -54,29 +60,31 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def message_census(tracer: Tracer) -> str:
+def message_census(recorder: SpanRecorder) -> str:
     """Message counts and bytes by type (sends only, to avoid double count)."""
     counts: Dict[str, int] = defaultdict(int)
     nbytes: Dict[str, int] = defaultdict(int)
-    for record in tracer.filter(kind="send"):
-        msg_type, _dst, size = record.detail
-        counts[msg_type] += 1
-        nbytes[msg_type] += size
+    for mark in recorder.by_name("msg.send"):
+        counts[mark.args["type"]] += 1
+        nbytes[mark.args["type"]] += mark.args["bytes"]
     table = Table(["message type", "count", "bytes"], title="message census")
     for msg_type in sorted(counts, key=lambda t: -counts[t]):
         table.add(msg_type, counts[msg_type], nbytes[msg_type])
     return table.render()
 
 
-def event_log(tracer: Tracer, limit: int = 50) -> str:
-    """The first ``limit`` raw trace records, one line each."""
-    if not tracer.records:
+def event_log(recorder: SpanRecorder, limit: int = 50) -> str:
+    """The first ``limit`` message instants, one line each."""
+    marks = _messages(recorder)
+    if not marks:
         return _EMPTY_TRACE
     lines = []
-    for record in tracer.records[:limit]:
-        lines.append(f"{record.time:12.6f}s {record.source:>6} {record.kind:<5} {record.detail}")
-    if len(tracer.records) > limit:
-        lines.append(f"... {len(tracer.records) - limit} more")
+    for mark in marks[:limit]:
+        a = mark.args
+        detail = (a["type"], a["peer"], a["bytes"])
+        lines.append(f"{mark.start:12.6f}s {_lane(mark):>6} {mark.name[4:]:<5} {detail}")
+    if len(marks) > limit:
+        lines.append(f"... {len(marks) - limit} more")
     return "\n".join(lines)
 
 

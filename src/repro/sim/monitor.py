@@ -1,4 +1,4 @@
-"""Instrumentation: counters, time-weighted statistics, and trace records.
+"""Instrumentation: counters, time-weighted statistics and tallies.
 
 The experiment harness relies on these to report not just end-to-end times
 but the *explanations* the paper gives for its curves — message counts,
@@ -8,10 +8,9 @@ traffic — so every subsystem exposes a :class:`StatSet`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict
 
-__all__ = ["Counter", "TimeWeighted", "Tally", "StatSet", "TraceRecord", "Tracer"]
+__all__ = ["Counter", "TimeWeighted", "Tally", "StatSet"]
 
 
 class Counter:
@@ -135,41 +134,4 @@ class StatSet:
             if t.count:  # empty tallies hold the inf/-inf sentinels
                 out[f"{name}.min"] = t.min
                 out[f"{name}.max"] = t.max
-        return out
-
-
-@dataclass
-class TraceRecord:
-    """One traced occurrence; kept tiny because traces can be long."""
-
-    time: float
-    source: str
-    kind: str
-    detail: Any = None
-
-
-class Tracer:
-    """An optional event trace; disabled by default for speed."""
-
-    def __init__(self, enabled: bool = False, limit: Optional[int] = None):
-        self.enabled = enabled
-        self.limit = limit
-        self.records: List[TraceRecord] = []
-        #: records discarded because ``limit`` was reached
-        self.dropped = 0
-
-    def emit(self, time: float, source: str, kind: str, detail: Any = None) -> None:
-        if not self.enabled:
-            return
-        if self.limit is not None and len(self.records) >= self.limit:
-            self.dropped += 1
-            return
-        self.records.append(TraceRecord(time, source, kind, detail))
-
-    def filter(self, kind: Optional[str] = None, source: Optional[str] = None) -> List[TraceRecord]:
-        out = self.records
-        if kind is not None:
-            out = [r for r in out if r.kind == kind]
-        if source is not None:
-            out = [r for r in out if r.source == source]
         return out

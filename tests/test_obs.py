@@ -212,6 +212,26 @@ def test_caching_coherence_carries_trace():
     assert [s.name for s in read_tree] == ["api.gm_read"]
 
 
+def test_scalar_accessors_open_api_roots():
+    def master(api):
+        addr = api.home_base(1)
+        yield from api.gm_write_scalar(addr, 4.0)
+        return (yield from api.gm_read_scalar(addr))
+
+    config = ClusterConfig(
+        platform=get_platform("sunos"), n_processors=2, obs_trace=True
+    )
+    result = run_master(config, master)
+    assert result.returns[0] == 4.0
+    obs = result.cluster.obs
+    for api_name, rpc_name in (
+        ("api.gm_write", "rpc:gm_write_req"),
+        ("api.gm_read", "rpc:gm_read_req"),
+    ):
+        (root,) = [s for s in obs.roots() if s.name == api_name]
+        assert rpc_name in [s.name for s in obs.trace(root.ctx.trace_id)]
+
+
 def test_collision_instants_recorded():
     """Two stations transmitting together must collide and mark it."""
     sim = Simulator()

@@ -346,6 +346,31 @@ def test_config_dict_roundtrip():
     assert back.fabric.rate_bps == config.fabric.rate_bps
 
 
+def test_config_dict_with_retired_trace_key_still_loads():
+    # Written by repro-replay-1 recorders that still had the per-message
+    # trace field; that key never affected simulated time and is ignored.
+    written = json.loads(
+        '{"platform": "SparcStation / SunOS 4.1.4", "platforms": null, '
+        '"n_processors": 3, "n_machines": 3, "fabric": {"kind": "ethernet", '
+        '"rate_bps": 10000000.0, "cut_through": true, "forward_latency": '
+        '1.5e-05}, "transport": "datagram", "coherence": "home", '
+        '"total_gm_words": 4194304, "block_words": 128, "gmem_batching": '
+        'false, "seed": 1999, "trace": false, "obs_trace": false, '
+        '"obs_metrics_interval": 0.0, "obs_span_limit": null, "sanitize": '
+        'false, "resilience": null, "replay": {"ring_size": 4, '
+        '"snapshot_interval": 0.0, "charge_bps": 0.0, "log_limit": 4096}}'
+    )
+    config = config_from_dict(written)
+    assert config == ClusterConfig(
+        platform=config.platform, n_processors=3, n_machines=3,
+        replay=ReplayConfig(),
+    )
+    assert config.platform.name == "SparcStation / SunOS 4.1.4"
+    assert config_to_dict(config) == {
+        k: v for k, v in written.items() if k != "trace"
+    }
+
+
 # ------------------------------------------------------------ resilience piggyback
 def test_recorder_piggybacks_on_resilience_checkpoints():
     rec = record(_config(resilience=ResilienceConfig()), spec=GS_SPEC)

@@ -434,14 +434,24 @@ def test_shards_require_the_switched_fabric():
 
 
 def test_shards_reject_single_stream_features():
-    for feature in (
-        {"trace": True},
-        {"obs_trace": True},
-        {"obs_metrics_interval": 0.5},
-        {"sanitize": True},
+    from repro.replay import ReplayConfig
+    from repro.resilience import ResilienceConfig
+
+    # One case per entry of the fence table in ClusterConfig.__post_init__.
+    for feature, value in (
+        ("obs_trace", True),
+        ("obs_metrics_interval", 0.5),
+        ("sanitize", True),
+        ("resilience", ResilienceConfig()),
+        ("replay", ReplayConfig()),
     ):
-        with pytest.raises(ConfigurationError, match="incompatible"):
-            _config(2, kernels=4, machines=4, **feature)
+        with pytest.raises(
+            ConfigurationError, match=f"incompatible with {feature} "
+        ):
+            _config(2, kernels=4, machines=4, **{feature: value})
+    # The per-message trace field is gone; obs spans are the one trace layer.
+    with pytest.raises(TypeError):
+        ClusterConfig(trace=True)
 
 
 def test_shard_config_validation():

@@ -1,12 +1,17 @@
-"""Tests for tracing and the timeline renderer."""
+"""Tests for the message timeline, census and event log, which read the
+``msg.send``/``msg.recv`` instants of the obs span trace."""
+
+from collections import Counter
+
+import pytest
 
 from repro.dse import ClusterConfig, run_parallel
 from repro.experiments import event_log, message_census, render_timeline
 from repro.hardware import get_platform
-from repro.sim import Tracer
+from repro.obs import SpanRecorder
 
 
-def traced_run(p=4, trace=True):
+def traced_run(p=4, obs_trace=True, **kwargs):
     def worker(api):
         yield from api.gm_write_scalar(api.rank, 1.0)
         yield from api.barrier("b")
@@ -15,42 +20,140 @@ def traced_run(p=4, trace=True):
         return True
 
     config = ClusterConfig(
-        platform=get_platform("linux"), n_processors=p, trace=trace
+        platform=get_platform("linux"), n_processors=p, obs_trace=obs_trace,
+        **kwargs,
     )
     return run_parallel(config, worker)
 
 
+def _marks(res, name):
+    return res.cluster.obs.by_name(name)
+
+
+# The renderers' output for traced_run at p=4 and p=6, pinned exactly: the
+# same text the retired per-message trace layer produced for the same runs.
+TIMELINE = {
+    4: (
+        "timeline 0s .. 0.009468s (61 events, peak 3/cell)\n"
+        "    k0 |=   =#   =@   =#  ## ###==#== =#== =  = |\n"
+        "    k1 |  @    =            =  =    =     #     |\n"
+        "    k2 |       @     =      =   =    =       #  |\n"
+        "    k3 |            @    =   =   =   =         #|"
+    ),
+    6: (
+        "timeline 0s .. 0.01552s (101 events, peak 5/cell)\n"
+        "    k0 |: := :*  %  == := @:%%=***:=: :=: :: : :|\n"
+        "    k1 | *  :             :  :   :       =      |\n"
+        "    k2 |    *  :           : :    :       =     |\n"
+        "    k3 |       *   :       :  :   :         =   |\n"
+        "    k4 |           *  :    :   :  :           = |\n"
+        "    k5 |              *  :   : :      :        =|"
+    ),
+}
+
+CENSUS = {
+    4: (
+        "message census\n"
+        "message type   | count | bytes\n"
+        "---------------+-------+------\n"
+        "   barrier_req |     6 |   198\n"
+        "   barrier_rsp |     6 |   198\n"
+        "proc_start_req |     3 |   672\n"
+        "proc_start_rsp |     3 |    96\n"
+        "  gm_write_req |     3 |   120\n"
+        "  gm_write_rsp |     3 |    96\n"
+        "   gm_read_req |     3 |    96\n"
+        "   gm_read_rsp |     3 |   192\n"
+        "     proc_done |     3 |   384\n"
+        "  shutdown_req |     3 |    96\n"
+        "  shutdown_rsp |     3 |    96"
+    ),
+    6: (
+        "message census\n"
+        "message type   | count | bytes\n"
+        "---------------+-------+------\n"
+        "   barrier_req |    10 |   330\n"
+        "   barrier_rsp |    10 |   330\n"
+        "proc_start_req |     5 |  1120\n"
+        "proc_start_rsp |     5 |   160\n"
+        "  gm_write_req |     5 |   200\n"
+        "  gm_write_rsp |     5 |   160\n"
+        "   gm_read_req |     5 |   160\n"
+        "   gm_read_rsp |     5 |   400\n"
+        "     proc_done |     5 |   640\n"
+        "  shutdown_req |     5 |   160\n"
+        "  shutdown_rsp |     5 |   160"
+    ),
+}
+
+_LOG_HEAD = (
+    "    0.000000s     k0 send  ('proc_start_req', 1, 224)\n"
+    "    0.000599s     k1 recv  ('proc_start_req', 0, 224)\n"
+    "    0.000599s     k1 send  ('proc_start_rsp', 0, 32)\n"
+    "    0.000600s     k1 send  ('gm_write_req', 0, 40)\n"
+    "    0.001074s     k0 send  ('proc_start_req', 2, 224)\n"
+)
+EVENT_LOG = {4: _LOG_HEAD + "... 56 more", 6: _LOG_HEAD + "... 96 more"}
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_renderers_reproduce_pinned_output(p):
+    obs = traced_run(p).cluster.obs
+    assert render_timeline(obs, width=40) == TIMELINE[p]
+    assert message_census(obs) == CENSUS[p]
+    assert event_log(obs, limit=5) == EVENT_LOG[p]
+
+
 def test_trace_disabled_by_default():
-    res = traced_run(trace=False)
-    assert res.cluster.tracer.records == []
+    res = traced_run(obs_trace=False)
+    assert res.cluster.obs.spans == []
+    assert render_timeline(res.cluster.obs) == "no events captured (was obs_trace=True set?)"
 
 
 def test_trace_records_sends_and_receives():
     res = traced_run()
-    tracer = res.cluster.tracer
-    sends = tracer.filter(kind="send")
-    recvs = tracer.filter(kind="recv")
+    sends = _marks(res, "msg.send")
+    recvs = _marks(res, "msg.recv")
     assert sends and recvs
     # Every wire-sent *request* is received by a service loop (responses
     # are consumed by their waiting requester and not re-traced; shutdown
     # is excluded because the master's own shutdown arrives via loopback).
-    from collections import Counter
-
     sent = Counter(
-        r.detail[0]
-        for r in sends
-        if (r.detail[0].endswith("_req") or r.detail[0] == "proc_done")
-        and r.detail[0] != "shutdown_req"
+        s.args["type"]
+        for s in sends
+        if (s.args["type"].endswith("_req") or s.args["type"] == "proc_done")
+        and s.args["type"] != "shutdown_req"
     )
-    got = Counter(r.detail[0] for r in recvs if r.detail[0] != "shutdown_req")
+    got = Counter(s.args["type"] for s in recvs if s.args["type"] != "shutdown_req")
     assert sent == got
-    # Sources are kernel labels.
-    assert all(r.source.startswith("k") for r in sends)
+    # Every instant carries its message's type, peer, size and lane kernel,
+    # and sits on that kernel's (machine, UNIX process) lane.
+    kernels = {k.kernel_id: k for k in res.cluster.kernels}
+    for mark in sends + recvs:
+        assert set(mark.args) == {"type", "peer", "bytes", "kernel"}
+        kernel = kernels[mark.args["kernel"]]
+        assert (mark.pid, mark.tid) == (kernel.obs_pid, kernel.obs_tid)
+        assert mark.phase == "i"
+
+
+def test_message_instants_join_their_rpc_trace():
+    """A message with a trace context is parented on it; one without
+    (process start, shutdown) still gets an instant, as a root."""
+    res = traced_run()
+    obs = res.cluster.obs
+    by_id = {s.ctx.span_id: s for s in obs.spans}
+    sends = _marks(res, "msg.send")
+    reads = [s for s in sends if s.args["type"] == "gm_read_req"]
+    assert reads and all(
+        by_id[s.parent_id].name == "rpc:gm_read_req" for s in reads
+    )
+    starts = [s for s in sends if s.args["type"] == "proc_start_req"]
+    assert starts and all(s.parent_id is None for s in starts)
 
 
 def test_render_timeline():
     res = traced_run()
-    text = render_timeline(res.cluster.tracer, width=40)
+    text = render_timeline(res.cluster.obs, width=40)
     lines = text.splitlines()
     assert "timeline" in lines[0]
     assert len(lines) == 1 + 4  # one lane per kernel
@@ -58,31 +161,39 @@ def test_render_timeline():
 
 
 def test_render_timeline_empty_trace_friendly():
-    text = render_timeline(Tracer(enabled=True))
-    assert text == "no events captured (was trace=True set?)"
-    assert event_log(Tracer(enabled=True)) == text
+    text = render_timeline(SpanRecorder(enabled=True))
+    assert text == "no events captured (was obs_trace=True set?)"
+    assert event_log(SpanRecorder(enabled=True)) == text
 
 
-def test_tracer_counts_drops_and_header_reports_them():
-    tracer = Tracer(enabled=True, limit=3)
+def test_span_limit_drops_reported_in_header():
+    rec = SpanRecorder(enabled=True, limit=3)
     for i in range(10):
-        tracer.emit(i * 0.001, "k0", "send", ("gm_read_req", 1, 64))
-    assert len(tracer.records) == 3
-    assert tracer.dropped == 7
-    header = render_timeline(tracer).splitlines()[0]
+        mark = rec.instant(i * 0.001, "msg.send", "dse", 0, 100)
+        mark.args = {"type": "gm_read_req", "peer": 1, "bytes": 64, "kernel": 0}
+    assert len(rec.spans) == 3
+    assert rec.dropped == 7
+    header = render_timeline(rec).splitlines()[0]
     assert "7 dropped past limit" in header
+    # On a run, obs_span_limit drives the same header.
+    res = traced_run(obs_span_limit=40)
+    assert res.elapsed == traced_run().elapsed
+    assert len(res.cluster.obs.spans) == 40
+    assert render_timeline(res.cluster.obs, width=40).splitlines()[0] == (
+        "timeline 0s .. 0.001756s (11 events, peak 3/cell, 214 dropped past limit)"
+    )
 
 
 def test_message_census():
     res = traced_run()
-    text = message_census(res.cluster.tracer)
+    text = message_census(res.cluster.obs)
     assert "barrier_req" in text
     assert "gm_read_req" in text
 
 
 def test_event_log_limit():
     res = traced_run()
-    text = event_log(res.cluster.tracer, limit=5)
+    text = event_log(res.cluster.obs, limit=5)
     lines = text.splitlines()
     assert len(lines) == 6  # 5 records + "... N more"
     assert "more" in lines[-1]
@@ -91,8 +202,5 @@ def test_event_log_limit():
 def test_hotspot_visible_in_trace():
     """Kernel 0 hosts the barrier service: it must receive the most."""
     res = traced_run(p=6)
-    recvs = res.cluster.tracer.filter(kind="recv")
-    by_kernel = {}
-    for r in recvs:
-        by_kernel[r.source] = by_kernel.get(r.source, 0) + 1
+    by_kernel = Counter(f"k{s.args['kernel']}" for s in _marks(res, "msg.recv"))
     assert max(by_kernel, key=by_kernel.get) == "k0"
