@@ -283,7 +283,7 @@ class MessageExchange:
     def _mark(self, name: str, msg: DSEMessage, peer: int) -> None:
         """One ``msg.send``/``msg.recv`` instant on this kernel's lane, read
         by :mod:`repro.experiments.timeline`; a message without a trace
-        context (process start, shutdown) gets a root of its own."""
+        context gets a root of its own."""
         span = self.obs.instant(
             self.sim.now, name, "dse", self.kernel.obs_pid, self.kernel.obs_tid,
             msg.trace,

@@ -31,6 +31,7 @@ changes *when* writes hit the wire, and therefore the simulated clock.
 
 from __future__ import annotations
 
+import mmap
 from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -39,7 +40,7 @@ from ..errors import GlobalMemoryError
 from ..hardware.cpu import Work
 from ..sim.core import Event
 from ..sim.monitor import StatSet
-from .messages import DSEMessage, MsgType
+from .messages import WORD_BYTES, DSEMessage, MsgType
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import DSEKernel
@@ -55,8 +56,21 @@ _GM_CALL_WORK = Work(iops=80)
 WC_FLUSH_WORDS = 16384
 
 
+def _demand_zero(nwords: int) -> np.ndarray:
+    """A writable, all-zero float64 array whose pages the OS commits on
+    first touch (a private anonymous mapping), so an untouched word costs
+    no resident memory."""
+    if nwords == 0:
+        return np.zeros(0, dtype=np.float64)
+    buf = mmap.mmap(-1, nwords * WORD_BYTES, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=np.float64)
+
+
 class GlobalMemoryManager:
-    """One kernel's view of the cluster-wide global memory (home policy)."""
+    """One kernel's view of the cluster-wide global memory (home policy).
+
+    The home slice is demand-zero: a run commits only the pages it writes.
+    """
 
     policy_name = "home"
 
@@ -75,7 +89,7 @@ class GlobalMemoryManager:
         self.my_lo = min(kernel.kernel_id * self.slice_words, total_words)
         self.my_hi = min(self.my_lo + self.slice_words, total_words)
         #: authoritative storage for this kernel's home slice
-        self.storage = np.zeros(self.my_hi - self.my_lo, dtype=np.float64)
+        self.storage = _demand_zero(self.my_hi - self.my_lo)
         #: bump allocator (kernel 0 is the allocation authority)
         self._alloc_next = 0
         self.stats = StatSet(f"gmem:k{kernel.kernel_id}")
@@ -101,8 +115,9 @@ class GlobalMemoryManager:
         self._san_race = getattr(kernel.cluster, "sanitizer", NULL_SANITIZER).race
         #: resilience manager (None when disabled); when it — or the replay
         #: recorder — is on, the high-water mark of the local slice is
-        #: tracked so checkpoints copy only the used prefix.  The combined
-        #: flag is resolved once: the write hot path tests one bool.
+        #: tracked so checkpoints copy, and crashes or rollbacks zero, only
+        #: the used prefix.  The combined flag is resolved once: the write
+        #: hot path tests one bool.
         self._res = getattr(kernel.cluster, "resilience", None)
         self._track_hw = (
             self._res is not None
@@ -412,7 +427,7 @@ class GlobalMemoryManager:
     def restore_slice(self, data: Any) -> None:
         """Overwrite the home slice from a checkpoint snapshot (rollback)."""
         snap = np.asarray(data, dtype=np.float64)
-        self.storage[:] = 0.0
+        self._zero_used()
         self.storage[: len(snap)] = snap
         self._hw = len(snap)
         self._wc.clear()
@@ -424,10 +439,19 @@ class GlobalMemoryManager:
         Guest coroutines must be killed *before* this is called — killing a
         combined-read leader runs its ``finally``, which touches
         ``_read_inflight``."""
-        self.storage[:] = 0.0
+        self._zero_used()
         self._hw = 0
         self._wc.clear()
         self._read_inflight.clear()
+
+    def _zero_used(self) -> None:
+        """Zero the slice.  With the high-water mark tracked, every word
+        past ``_hw`` is still zero, so only the used prefix is cleared and
+        untouched pages stay uncommitted."""
+        if self._track_hw:
+            self.storage[: self._hw] = 0.0
+        else:
+            self.storage[:] = 0.0
 
     def abort_inflight(self) -> None:
         """Drop combining state on a surviving kernel during rollback."""

@@ -244,17 +244,28 @@ class DSEKernel:
     # -- shutdown --------------------------------------------------------------
     def request_shutdown_of(self, target: int) -> Generator[Event, Any, None]:
         """Stop ``target``'s service loop (used by the runtime at teardown)."""
+        span = self.obs_root("dse.shutdown")
         msg = DSEMessage(
             msg_type=MsgType.SHUTDOWN_REQ,
             src_kernel=self.kernel_id,
             dst_kernel=target,
+            trace=None if span is None else span.ctx,
         )
         if target == self.kernel_id:
             # Deliver through our own socket so the service loop sees it.
             self.machine.transport.loopback(
                 self.exchange.socket.port, msg, msg.size_bytes,
-                src_port=self.exchange.socket.port,
+                src_port=self.exchange.socket.port, trace=msg.trace,
             )
             yield from self.exchange._await_response(msg.seq)
         else:
             yield from self.exchange.request(msg)
+        if span is not None:
+            self.obs.end(span, self.sim.now)
+
+    def obs_root(self, name: str):
+        """Open a root span on this kernel's lane for a kernel-initiated
+        RPC (process start/done, shutdown); None when tracing is off."""
+        if not self.obs.enabled:
+            return None
+        return self.obs.begin(self.sim.now, name, "dse", self.obs_pid, self.obs_tid, None)

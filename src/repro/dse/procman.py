@@ -86,6 +86,7 @@ class ProcessManager:
         done = self.kernel.sim.event(name=f"proc-done:r{rank}")
         self._pending[rank] = done
         self._pending_target[rank] = target_kernel
+        span = self.kernel.obs_root("proc.start")
         msg = DSEMessage(
             msg_type=MsgType.PROC_START_REQ,
             src_kernel=self.kernel.kernel_id,
@@ -93,6 +94,7 @@ class ProcessManager:
             addr=rank,
             data=(entry, args),
             extra_bytes=_SPAWN_EXTRA_BYTES,
+            trace=None if span is None else span.ctx,
         )
         try:
             rsp = yield from self.kernel.exchange.request(msg)
@@ -107,6 +109,8 @@ class ProcessManager:
                 f"invocation of rank {rank} on kernel {target_kernel} failed: {rsp.status}"
             )
         self.stats.counter("invocations").increment()
+        if span is not None:
+            self.kernel.obs.end(span, self.kernel.sim.now)
         return RemoteProcHandle(target_kernel, rank, done)
 
     def wait(self, handle: RemoteProcHandle) -> Generator[Event, Any, Any]:
@@ -138,6 +142,7 @@ class ProcessManager:
 
     def notify_done(self, rank: int, invoker: int, value: Any) -> Generator[Event, Any, None]:
         """Send PROC_DONE for a finished local DSE process."""
+        span = self.kernel.obs_root("proc.done")
         msg = DSEMessage(
             msg_type=MsgType.PROC_DONE,
             src_kernel=self.kernel.kernel_id,
@@ -145,8 +150,11 @@ class ProcessManager:
             addr=rank,
             data=value,
             extra_bytes=_DONE_EXTRA_BYTES,
+            trace=None if span is None else span.ctx,
         )
         yield from self.kernel.exchange.notify(msg)
+        if span is not None:
+            self.kernel.obs.end(span, self.kernel.sim.now)
 
     def handle_done(self, msg: DSEMessage) -> Generator[Event, Any, None]:
         rank = msg.addr

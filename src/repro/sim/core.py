@@ -254,7 +254,7 @@ class Process(Event):
     exception propagates into the waiter).
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cb", "is_alive_hint")
+    __slots__ = ("_generator", "_target", "_resume_cb", "is_alive_hint", "__weakref__")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -264,8 +264,10 @@ class Process(Event):
         #: the event this process is currently waiting on (None when running)
         self._target: Optional[Event] = None
         #: the one bound method registered as a callback everywhere — built
-        #: once so suspension does not allocate a fresh bound method
-        self._resume_cb: Callable[[Event], None] = self._resume
+        #: once so suspension does not allocate a fresh bound method; it is
+        #: a self-reference cycle, so it is dropped once the process ends and
+        #: a finished process is freed by reference counting alone
+        self._resume_cb: Optional[Callable[[Event], None]] = self._resume
         Initialize(sim, self)
 
     @property
@@ -291,6 +293,7 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
+        self._resume_cb = None
         self._generator.close()
         self._ok = True
         self._value = value
@@ -346,11 +349,13 @@ class Process(Event):
                 event = next_event
         except StopIteration as stop:
             self._target = None
+            self._resume_cb = None
             self._ok = True
             self._value = stop.value
             sim._schedule(self, 0.0, PRIORITY_NORMAL)
         except BaseException as exc:
             self._target = None
+            self._resume_cb = None
             self._ok = False
             self._value = exc
             if not isinstance(exc, Exception):

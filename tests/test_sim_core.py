@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation core."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -261,6 +264,91 @@ def test_interrupted_process_can_rewait():
 
     sim.process(interrupter())
     assert sim.run(p) == 3.0
+
+
+@pytest.mark.parametrize("ending", ["return", "fail", "kill"])
+def test_finished_process_is_freed_without_cyclic_gc(ending):
+    """A finished process holds no reference cycle of its own, so reference
+    counting frees it (and its generator) with the cyclic collector off."""
+    sim = Simulator()
+
+    def body():
+        yield sim.timeout(1.0)
+        if ending == "fail":
+            raise ValueError("done")
+
+    def waiter(p):
+        try:
+            yield p
+        except ValueError:
+            pass
+
+    gc.disable()
+    try:
+        p = sim.process(body())
+        if ending == "kill":
+            sim.run(until=0.5)
+            p.kill()
+        else:
+            # a waiter absorbs the failure
+            sim.process(waiter(p))
+        sim.run_all()
+        assert p.triggered
+        if ending == "fail":
+            # the stored exception's traceback reaches the frame that ran
+            # the process; that cycle belongs to the exception, not to it
+            p._value.__traceback__ = None
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("ending", ["return", "fail", "kill"])
+def test_dead_process_interrupt_and_kill_unchanged(ending):
+    """Interrupting a dead process is an error and killing it is a no-op,
+    however it ended."""
+    sim = Simulator()
+
+    def body():
+        yield sim.timeout(1.0)
+        if ending == "fail":
+            raise ValueError("boom")
+        return "value"
+
+    p = sim.process(body())
+    if ending == "kill":
+        sim.run(until=0.5)
+        p.kill("killed")
+    else:
+        p.callbacks.append(lambda ev: None)  # a waiter: failure is handled
+    sim.run_all()
+    before = (p.ok, p._value)
+    with pytest.raises(RuntimeError, match="cannot interrupt dead process"):
+        p.interrupt("late")
+    p.kill("again")
+    assert (p.ok, p._value) == before
+    sim.run_all()
+    assert (p.ok, p._value) == before
+
+
+def test_interrupt_racing_termination_is_dropped():
+    """A second interrupt queued before the process ends is discarded."""
+    sim = Simulator()
+
+    def sleeper():
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt as i:
+            return i.cause
+
+    p = sim.process(sleeper())
+    sim.run(until=1.0)
+    p.interrupt("first")
+    p.interrupt("second")
+    sim.run_all()
+    assert p.ok and p.value == "first"
 
 
 def test_all_of_waits_for_every_child():

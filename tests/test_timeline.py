@@ -137,8 +137,8 @@ def test_trace_records_sends_and_receives():
 
 
 def test_message_instants_join_their_rpc_trace():
-    """A message with a trace context is parented on it; one without
-    (process start, shutdown) still gets an instant, as a root."""
+    """Every message instant is parented on its RPC's trace, including the
+    kernel-initiated process start, completion and shutdown messages."""
     res = traced_run()
     obs = res.cluster.obs
     by_id = {s.ctx.span_id: s for s in obs.spans}
@@ -147,8 +147,24 @@ def test_message_instants_join_their_rpc_trace():
     assert reads and all(
         by_id[s.parent_id].name == "rpc:gm_read_req" for s in reads
     )
-    starts = [s for s in sends if s.args["type"] == "proc_start_req"]
-    assert starts and all(s.parent_id is None for s in starts)
+    marks = sends + _marks(res, "msg.recv")
+    assert all(s.parent_id is not None for s in marks)
+
+    def root(span):
+        while span.parent_id is not None:
+            span = by_id[span.parent_id]
+        return span.name
+
+    for kind, root_name in (
+        ("proc_start_req", "proc.start"),
+        ("proc_done", "proc.done"),
+        ("shutdown_req", "dse.shutdown"),
+    ):
+        kind_sends = [s for s in sends if s.args["type"] == kind]
+        assert kind_sends and {root(s) for s in kind_sends} == {root_name}
+        # The frames of these messages are traced down the stack too.
+        below = {s.name for s in obs.spans if root(s) == root_name}
+        assert {"sock.send", "udp.send", "nic.tx"} <= below
 
 
 def test_render_timeline():
@@ -180,7 +196,7 @@ def test_span_limit_drops_reported_in_header():
     assert res.elapsed == traced_run().elapsed
     assert len(res.cluster.obs.spans) == 40
     assert render_timeline(res.cluster.obs, width=40).splitlines()[0] == (
-        "timeline 0s .. 0.001756s (11 events, peak 3/cell, 214 dropped past limit)"
+        "timeline 0s .. 0.001266s (7 events, peak 3/cell, 333 dropped past limit)"
     )
 
 
